@@ -243,7 +243,9 @@ def run(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (TypeSyntaxError, ValueError, OSError) as e:
+    except (TypeSyntaxError, ValueError, OSError, RecursionError) as e:
+        # RecursionError: an input nested deeper than a recursive layer
+        # (printer, decider, organize) can follow; exit 1 would read as "no"
         print(f"error: {e}", file=sys.stderr)
         return 2
 

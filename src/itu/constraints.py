@@ -77,15 +77,16 @@ class Substitution:
 
 
 def apply(s: Substitution, t: Type) -> Type:
-    """Capture-free simultaneous substitution; result is canonical."""
+    """Capture-free simultaneous substitution; result is canonical.
+
+    A ground subterm is returned as it is, without being rebuilt."""
+    if t._ground:
+        return t
     if isinstance(t, Var):
-        got = s.mapping.get(t.name)
-        return t if got is None else got
+        return s.mapping.get(t.name, t)
     if isinstance(t, Arrow):
         return arrow(apply(s, t.source), apply(s, t.target))
-    if isinstance(t, Inter):
-        return inter(apply(s, c) for c in t.components)
-    return t
+    return inter(apply(s, c) for c in t.components)
 
 
 def verify(s: Substitution, cs: Iterable[Constraint]) -> bool:
@@ -125,7 +126,7 @@ def unif_to_sat(cs: Sequence[Constraint]) -> ConstraintSet:
 
 
 def is_ground(t: Type) -> bool:
-    return not type_vars(t)
+    return t._ground
 
 
 def is_matching_instance(cs: Sequence[Constraint]) -> bool:

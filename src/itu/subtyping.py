@@ -2,8 +2,8 @@
 
 The decider follows the quadratic scheme: collapse omega-equal subterms,
 keep intersections flat and omega-free, then recurse on components.  The
-arrow case collects candidate targets by plain list concatenation, so no
-re-canonicalization happens on the recursive arguments.
+arrow case collects each distinct candidate target once, by identity, and
+never re-canonicalizes the recursive arguments.
 """
 
 from __future__ import annotations
@@ -54,13 +54,14 @@ def _sub(comps: list[Type], t: Type) -> bool:
     targets: list[Type] = []
     for c in comps:
         if isinstance(c, Arrow) and _sub(src, c.source):
-            tg = c.target
-            if isinstance(tg, Inter):
-                targets.extend(tg.components)
-            else:
-                targets.append(tg)
+            targets.extend(components(c.target))
     if not targets:
         return False
+    if len(targets) > 1:
+        # interned nodes hash by identity, so a target shared by several
+        # arrows is decided once; a lone target, as on a chain, skips the
+        # dict, which would add collector work at every level
+        targets = list(dict.fromkeys(targets))
     return _sub(targets, t.target)
 
 

@@ -9,11 +9,14 @@ deduplicates, and keeps components in a deterministic structural order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
 class Type:
-    __slots__ = ("_skey", "_collapsed", "_size")
+    # _ground (no variable occurs) is set by the factory that interns the
+    # node; the other three are caches filled on first use
+    __slots__ = ("_skey", "_collapsed", "_size", "_ground")
 
     def __str__(self) -> str:
         return print_type(self)
@@ -59,14 +62,16 @@ OMEGA = _Omega()
 OMEGA._skey = (2,)
 OMEGA._collapsed = OMEGA
 OMEGA._size = 1
+OMEGA._ground = True
 
 _cache: dict[tuple, Type] = {}
 
 
-def _fresh_slots(t: Type) -> Type:
+def _fresh_slots(t: Type, ground: bool) -> Type:
     t._skey = None
     t._collapsed = None
     t._size = None
+    t._ground = ground
     return t
 
 
@@ -74,7 +79,7 @@ def const(name: str) -> Const:
     key = ("C", name)
     t = _cache.get(key)
     if t is None:
-        t = _cache[key] = _fresh_slots(Const(name))
+        t = _cache[key] = _fresh_slots(Const(name), True)
     return t
 
 
@@ -82,7 +87,7 @@ def var(name: str) -> Var:
     key = ("V", name)
     t = _cache.get(key)
     if t is None:
-        t = _cache[key] = _fresh_slots(Var(name))
+        t = _cache[key] = _fresh_slots(Var(name), False)
     return t
 
 
@@ -90,7 +95,7 @@ def arrow(source: Type, target: Type) -> Arrow:
     key = ("A", source, target)
     t = _cache.get(key)
     if t is None:
-        t = _cache[key] = _fresh_slots(Arrow(source, target))
+        t = _cache[key] = _fresh_slots(Arrow(source, target), source._ground and target._ground)
     return t
 
 
@@ -141,7 +146,7 @@ def inter(parts) -> Type:
     key = ("I",) + tuple(flat)
     t = _cache.get(key)
     if t is None:
-        t = _cache[key] = _fresh_slots(Inter(tuple(flat)))
+        t = _cache[key] = _fresh_slots(Inter(tuple(flat)), all(c._ground for c in flat))
     return t
 
 
@@ -201,16 +206,6 @@ def type_vars(t: Type) -> set[str]:
         elif isinstance(u, Inter):
             stack.extend(u.components)
     return out
-
-
-def contains_omega(t: Type) -> bool:
-    if t is OMEGA:
-        return True
-    if isinstance(t, Arrow):
-        return contains_omega(t.source) or contains_omega(t.target)
-    if isinstance(t, Inter):
-        return any(contains_omega(c) for c in t.components)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -307,96 +302,86 @@ class TypeSyntaxError(ValueError):
         self.position = position
 
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyz_")
-_IDENT_CHARS = _IDENT_START | set("0123456789")
+# A token is an operator, an identifier, or (third group) a character that
+# starts no token; whitespace only separates tokens and matches nothing.
+_TOKEN = re.compile(r"(->|[(&)'])|([a-z_][a-z0-9_]*)|([^ \t\r\n])")
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch in "(&)'":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(("->", "->", i))
-            i += 2
-            continue
-        if ch in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise TypeSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("eof", "", n))
-    return tokens
+def _meet(parts: list[Type]) -> Type:
+    return parts[0] if len(parts) == 1 else inter(parts)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _close(sources: list[Type], parts: list[Type]) -> Type:
+    """The group sources[0] -> ... -> sources[-1] -> (the meet of parts)."""
+    t = _meet(parts)
+    for s in reversed(sources):
+        t = arrow(s, t)
+    return t
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise TypeSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse_type(self) -> Type:
-        left = self.parse_inter()
-        if self.peek()[0] == "->":
-            self.next()
-            return arrow(left, self.parse_type())
-        return left
-
-    def parse_inter(self) -> Type:
-        parts = [self.parse_atom()]
-        while self.peek()[0] == "&":
-            self.next()
-            parts.append(self.parse_atom())
-        return inter(parts)
-
-    def parse_atom(self) -> Type:
-        kind, value, at = self.next()
-        if kind == "(":
-            t = self.parse_type()
-            self.expect(")")
-            return t
-        if kind == "'":
-            tok = self.expect("ident")
-            if tok[1] == "omega":
-                raise TypeSyntaxError("'omega' is reserved and cannot name a variable", tok[2])
-            return var(tok[1])
-        if kind == "ident":
-            if value == "omega":
-                return OMEGA
-            return const(value)
-        raise TypeSyntaxError(f"unexpected token {value!r}", at)
+def _syntax_error(text: str, k: int, message: str) -> TypeSyntaxError:
+    """The error at token k.  A bad character anywhere in the text is
+    reported first, as if every token were read before any is parsed."""
+    ms = list(_TOKEN.finditer(text))
+    for m in ms:
+        if m.group(3):
+            return TypeSyntaxError(f"unexpected character {m.group(3)!r}", m.start())
+    return TypeSyntaxError(message, ms[k].start() if k < len(ms) else len(text))
 
 
 def parse_type(text: str) -> Type:
-    p = _Parser(text)
-    t = p.parse_type()
-    tok = p.peek()
-    if tok[0] != "eof":
-        raise TypeSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    return t
+    """Parse one type; ``&`` binds tighter than the right-associative ``->``.
+
+    One loop over the tokens keeps the open parentheses on an explicit
+    stack, so the nesting depth is not bounded by the Python stack.
+    """
+    tokens = _TOKEN.findall(text)
+    stack: list[tuple[list[Type], list[Type]]] = []  # the enclosing groups
+    sources: list[Type] = []  # arrow sources read so far in the open group
+    parts: list[Type] = []  # the intersection being read after them
+    want_atom = True
+    quoted = False
+    for k, (op, name, _) in enumerate(tokens):
+        if quoted:
+            if not name:
+                raise _syntax_error(text, k, f"expected 'ident', found {op!r}")
+            if name == "omega":
+                raise _syntax_error(text, k, "'omega' is reserved and cannot name a variable")
+            parts.append(var(name))
+            quoted = want_atom = False
+        elif want_atom:
+            if name:
+                parts.append(OMEGA if name == "omega" else const(name))
+                want_atom = False
+            elif op == "(":
+                stack.append((sources, parts))
+                sources, parts = [], []
+            elif op == "'":
+                quoted = True
+            else:
+                raise _syntax_error(text, k, f"unexpected token {op!r}")
+        elif op == "&":
+            want_atom = True
+        elif op == "->":
+            sources.append(_meet(parts))
+            parts = []
+            want_atom = True
+        elif op == ")" and stack:
+            t = _close(sources, parts)
+            sources, parts = stack.pop()
+            parts.append(t)
+        elif stack:
+            raise _syntax_error(text, k, f"expected ')', found {op or name!r}")
+        else:
+            raise _syntax_error(text, k, f"trailing input {op or name!r}")
+    end = len(tokens)
+    if quoted:
+        raise _syntax_error(text, end, "expected 'ident', found ''")
+    if want_atom:
+        raise _syntax_error(text, end, "unexpected token ''")
+    if stack:
+        raise _syntax_error(text, end, "expected ')', found ''")
+    return _close(sources, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """End-to-end checks of the command-line front end via run(argv)."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
 from itu import format_tiling, parse_substitution, parse_type, verify
 from itu import parse_constraints
-from itu.cli import run
+from itu.cli import build_parser, run
 
 
 def write(path, text):
@@ -28,6 +31,12 @@ class TestDeciders:
     def test_parse_error_is_usage(self, capsys):
         assert run(["subtype", "a ->", "b"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_too_deep_for_the_decider_is_an_error_not_no(self, capsys):
+        chain = " -> ".join(["a"] * 10**4)
+        assert run(["subtype", chain, "a"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ")
 
     def test_organize_to_file(self, tmp_path):
         out = tmp_path / "o.txt"
@@ -175,3 +184,17 @@ class TestUsage:
 
     def test_jobs_flag_accepted(self):
         assert run(["--jobs", "4", "equal", "a", "a"]) == 0
+
+
+def readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("itu ")]
+
+
+def test_readme_cli_block_matches_parser():
+    lines = readme_cli_lines()
+    assert len(lines) >= 10
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        assert args.fn is not None, line

@@ -1,10 +1,14 @@
 """Constraint systems, substitutions, verification, interreductions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from itu import (
     OMEGA,
+    Arrow,
+    Inter,
     Substitution,
+    Var,
     apply,
     arrow,
     components,
@@ -13,6 +17,7 @@ from itu import (
     eq,
     format_constraints,
     format_substitution,
+    inter,
     is_matching_instance,
     leq,
     organize,
@@ -25,6 +30,7 @@ from itu import (
     sat_to_unif,
     subtype,
     type_equal,
+    type_vars,
     typability_constraints,
     unary_tower,
     unif_to_sat,
@@ -48,6 +54,28 @@ class TestApply:
     def test_omega_image_collapses_inter(self):
         s = Substitution({"a": OMEGA})
         assert type_equal(apply(s, S("'a & b")), S("b"))
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_ground_flag_and_ground_apply(self, seed):
+        gen = TypeGen(seed)
+        s = Substitution({"x": gen.type(2), "y": OMEGA})
+
+        def rebuild(t):  # apply without the ground shortcut
+            if isinstance(t, Var):
+                return s.get(t.name)
+            if isinstance(t, Arrow):
+                return arrow(rebuild(t.source), rebuild(t.target))
+            if isinstance(t, Inter):
+                return inter(rebuild(c) for c in t.components)
+            return t
+
+        ground = TypeGen(seed, allow_vars=False).type(4)
+        for t in [ground] + [gen.type(4) for _ in range(4)]:
+            assert t._ground == (not type_vars(t))
+            assert apply(s, t) is rebuild(t)
+            if t._ground:
+                assert apply(s, t) is t
 
 
 class TestVerifyGoldens:

@@ -173,6 +173,40 @@ def nested_family(n: int):
     return lhs, rhs
 
 
+def shared_family(depth: int):
+    """l(k+1) = (a&b -> l(k)) & (a -> l(k)) and r(k+1) = a&b -> r(k): l's
+    interned graph has O(depth) nodes, its syntax tree 2^depth leaves."""
+    a, b = const("a"), const("b")
+    lo = hi = a
+    for _ in range(depth):
+        lo = inter([arrow(inter([a, b]), lo), arrow(a, lo)])
+        hi = arrow(inter([a, b]), hi)
+    return lo, hi
+
+
+def test_shared_targets_decided_once(monkeypatch):
+    from itu import subtyping
+
+    calls = []
+    sub = subtyping._sub
+
+    def counted(comps, t):
+        calls.append(t)
+        return sub(comps, t)
+
+    monkeypatch.setattr(subtyping, "_sub", counted)
+    counts = {}
+    for depth in (8, 16):
+        monkeypatch.setattr(subtyping, "_memo", {})
+        lo, hi = shared_family(depth)
+        calls.clear()
+        assert subtype(lo, hi) and not subtype(hi, lo)
+        counts[depth] = len(calls)
+    # linear: doubling the depth about doubles the calls; without
+    # deduplication they grow as 2^depth
+    assert counts[16] <= 2 * counts[8] + 8, counts
+
+
 def test_scaling_smoke():
     # the full quadratic measurement lives in the acceptance suite
     lhs, rhs = nested_family(256)

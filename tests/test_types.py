@@ -73,6 +73,37 @@ class TestParser:
         with pytest.raises(TypeSyntaxError):
             parse_type("'omega")
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("a b $", "unexpected character '$'", 4),
+            ("a -> B", "unexpected character 'B'", 5),
+            ("1a", "unexpected character '1'", 0),
+            ("(a b)", "expected ')', found 'b'", 3),
+            ("(a", "expected ')', found ''", 2),
+            ("a)", "trailing input ')'", 1),
+            ("a 'x", "trailing input \"'\"", 2),
+            ("' -> a", "expected 'ident', found '->'", 2),
+            ("a & ", "unexpected token ''", 4),
+            ("& a", "unexpected token '&'", 0),
+            ("(a -> 'omega)", "'omega' is reserved and cannot name a variable", 7),
+        ],
+    )
+    def test_syntax_error_messages(self, text, message, position):
+        with pytest.raises(TypeSyntaxError) as e:
+            parse_type(text)
+        assert str(e.value) == f"{message} (at position {position})"
+        assert e.value.position == position
+
+    def test_deep_input_at_default_recursion_limit(self):
+        assert parse_type("(" * 10**5 + "a" + ")" * 10**5) is const("a")
+        t = parse_type(" -> ".join(["a"] * 10**4))
+        arrows_seen = 0
+        while isinstance(t, Arrow):
+            assert t.source is const("a")
+            t, arrows_seen = t.target, arrows_seen + 1
+        assert (t, arrows_seen) == (const("a"), 10**4 - 1)
+
 
 class TestPrinter:
     def test_right_associativity_no_parens(self):
