@@ -188,7 +188,7 @@ def _run_rules(
 ) -> Iterator[SetConstraintSystem]:
     gen = FreshVars()
 
-    def rec(cl: tuple[Constraint, ...], atoms: tuple[Atom, ...], steps: int) -> Iterator[SetConstraintSystem]:
+    def rec(cl: _Worklist, atoms: tuple[Atom, ...], steps: int) -> Iterator[SetConstraintSystem]:
         if steps > max_steps:
             raise RuntimeError("rank1_transform exceeded its step limit")
         if not cl:
@@ -202,136 +202,139 @@ def _run_rules(
             yield SetConstraintSystem(tuple(decl), atoms, omega_vars)
             return
         try:
-            got = _step(cl, gen)
+            rest, got = _step(cl, gen)
         except _Abort:
             return
-        for new_cl, new_atoms in got:
-            yield from rec(tuple(new_cl), atoms + tuple(new_atoms), steps + 1)
+        for new, new_atoms in got:
+            yield from rec(_classified(new) + rest, atoms + new_atoms, steps + 1)
 
-    yield from rec(tuple(constraints), (), 0)
+    yield from rec(_classified(constraints), (), 0)
 
 
-def _step(cl: tuple[Constraint, ...], gen: FreshVars):
-    """Fire the highest-priority applicable rule on the leftmost matching
-    constraint; return the list of branch outcomes [(constraints, atoms)]."""
-    for rule in range(1, 16):
-        for idx, c in enumerate(cl):
-            got = _try_rule(rule, c, gen)
-            if got is None:
-                continue
-            rest = cl[:idx] + cl[idx + 1:]
-            return [(list(new) + list(rest), atoms) for new, atoms in got]
-    raise RuntimeError(f"no rule applies to {cl[0]}")
+# the pending constraints, each paired with the number of the lowest rule
+# that applies to it (_classify), in the order the rules consider them
+_Worklist = tuple[tuple[int, Constraint], ...]
+
+_NO_RULE = 16
+
+
+def _classified(cs: Sequence[Constraint]) -> _Worklist:
+    return tuple((_classify(c.lhs, c.rhs), c) for c in cs)
+
+
+def _step(cl: _Worklist, gen: FreshVars):
+    """Fire the lowest-numbered applicable rule on the leftmost constraint
+    it applies to; return the other pending constraints and the rule's
+    branch outcomes [(replacement constraints, emitted atoms)]."""
+    idx = min(range(len(cl)), key=lambda i: cl[i][0])
+    rule, c = cl[idx]
+    if rule == _NO_RULE:
+        raise RuntimeError(f"no rule applies to {cl[0][1]}")
+    return cl[:idx] + cl[idx + 1:], _try_rule(rule, c, gen)
+
+
+def _classify(s: Type, t: Type) -> int:
+    """The number of the lowest rule that applies to s <= t, or _NO_RULE.
+    These are the only statements of the rules' applicability conditions."""
+    if subtype(s, t):
+        return 1
+    if isinstance(t, Var) and is_simple(s):
+        return 2
+    if isinstance(s, Var) and is_simple(t):
+        return 3
+    if isinstance(s, Var) and isinstance(t, Var):
+        return 4
+    if s is OMEGA:
+        return 5
+    if isinstance(t, Inter):
+        return 6
+    if isinstance(s, Const) and isinstance(t, (Arrow, Const)) or isinstance(s, Arrow) and isinstance(t, Const):
+        return 7
+    if isinstance(s, Inter) and isinstance(t, (Arrow, Const)) and isinstance(_head_of(t), Const):
+        return 8
+    if isinstance(s, Inter) and isinstance(_head_of(t), Var):
+        return 9
+    if isinstance(s, Arrow) and isinstance(t, Arrow):
+        return 10
+    if isinstance(s, Var) and isinstance(t, Arrow):
+        return 11
+    if not (isinstance(s, Arrow) and isinstance(t, Var)):
+        return _NO_RULE
+    if s.source is OMEGA:
+        return 12
+    if isinstance(s.source, Inter):
+        return 13
+    if isinstance(_head_of(s.source), Const):
+        return 14
+    if isinstance(_head_of(s.source), Var):
+        return 15
+    return _NO_RULE
 
 
 def _try_rule(rule: int, c: Constraint, gen: FreshVars):
-    """Outcomes for one rule on one constraint, or None if inapplicable.
-    Each outcome is (replacement constraints, emitted atoms)."""
+    """Outcomes of a rule that _classify chose for c.  Each outcome is
+    (replacement constraints, emitted atoms); an abortive rule raises."""
     s, t = c.lhs, c.rhs
     if rule == 1:
-        return [((), ())] if subtype(s, t) else None
+        return [((), ())]
     if rule == 2:
-        if isinstance(t, Var) and is_simple(s):
-            return [((), (("eqs", t.name, (s,)),))]
-        return None
+        return [((), (("eqs", t.name, (s,)),))]
     if rule == 3:
-        if isinstance(s, Var) and is_simple(t):
-            return [((), (("mem", t, s.name),))]
-        return None
+        return [((), (("mem", t, s.name),))]
     if rule == 4:
-        if isinstance(s, Var) and isinstance(t, Var):
-            return [((), (("sub", t.name, s.name),))]
-        return None
-    if rule == 5:
-        if s is OMEGA:
-            # rule 1 already removed the case t in T-omega
-            raise _Abort
-        return None
+        return [((), (("sub", t.name, s.name),))]
+    if rule in (5, 7):
+        # rule 5: rule 1 already removed the case t in T-omega
+        raise _Abort
     if rule == 6:
-        if isinstance(t, Inter):
-            return [(tuple(leq(s, p) for p in t.components), ())]
-        return None
-    if rule == 7:
-        if isinstance(s, Const) and isinstance(t, (Arrow, Const)):
-            raise _Abort
-        if isinstance(s, Arrow) and isinstance(t, Const):
-            raise _Abort
-        return None
+        return [(tuple(leq(s, p) for p in t.components), ())]
     if rule == 8:
-        if isinstance(s, Inter) and isinstance(t, (Arrow, Const)) and isinstance(_head_of(t), Const):
-            return [((leq(p, t),), ()) for p in s.components]
-        return None
+        return [((leq(p, t),), ()) for p in s.components]
     if rule == 9:
-        if isinstance(s, Inter) and isinstance(_head_of(t), Var):
-            head = _head_of(t)
-            args = path_split(t).arguments if not isinstance(t, Var) else ()
-            outcomes = []
-            for chosen in _subsets_desc(s.components):
-                fresh = [gen.next() for _ in chosen]
-                new = tuple(
-                    leq(p, arrows(args, a)) for p, a in zip(chosen, fresh)
-                )
-                outcomes.append(
-                    (new, (("union", head.name, tuple(a.name for a in fresh)),))
-                )
-            return outcomes
-        return None
-    if rule == 10:
-        if isinstance(s, Arrow) and isinstance(t, Arrow):
-            return [((leq(t.source, s.source), leq(s.target, t.target)), ())]
-        return None
-    if rule == 11:
-        if isinstance(s, Var) and isinstance(t, Arrow):
-            b, g, d = gen.next(), gen.next(), gen.next()
-            new = (leq(t.source, b), leq(g, t.target))
-            atoms = (
-                ("sub", d.name, s.name),
-                ("src", b.name, d.name),
-                ("tgt", g.name, d.name),
+        head = _head_of(t)
+        args = path_split(t).arguments if not isinstance(t, Var) else ()
+        outcomes = []
+        for chosen in _subsets_desc(s.components):
+            fresh = [gen.next() for _ in chosen]
+            new = tuple(
+                leq(p, arrows(args, a)) for p, a in zip(chosen, fresh)
             )
-            return [(new, atoms)]
-        return None
-    if not (isinstance(s, Arrow) and isinstance(t, Var)):
-        return None
+            outcomes.append(
+                (new, (("union", head.name, tuple(a.name for a in fresh)),))
+            )
+        return outcomes
+    if rule == 10:
+        return [((leq(t.source, s.source), leq(s.target, t.target)), ())]
+    if rule == 11:
+        b, g, d = gen.next(), gen.next(), gen.next()
+        new = (leq(t.source, b), leq(g, t.target))
+        atoms = (
+            ("sub", d.name, s.name),
+            ("src", b.name, d.name),
+            ("tgt", g.name, d.name),
+        )
+        return [(new, atoms)]
     src_t = s.source
     if rule == 12:
-        if src_t is OMEGA:
-            b, g = gen.next(), gen.next()
-            atoms = (("sube", t.name, ("arr", (("v", g.name),), ("v", b.name))),)
-            return [((leq(s.target, b),), atoms)]
-        return None
+        b, g = gen.next(), gen.next()
+        atoms = (("sube", t.name, ("arr", (("v", g.name),), ("v", b.name))),)
+        return [((leq(s.target, b),), atoms)]
     if rule == 13:
-        if isinstance(src_t, Inter):
-            return [
-                (tuple(leq(arrow(p, s.target), t) for p in src_t.components), ())
-            ]
-        return None
-    if rule == 14:
-        head = _head_of(src_t)
-        if isinstance(head, Const):
-            args = path_split(src_t).arguments if not isinstance(src_t, Const) else ()
-            bs = [gen.next() for _ in args]
-            g = gen.next()
-            new = tuple(leq(a, b) for a, b in zip(args, bs)) + (leq(s.target, g),)
-            inner = ("arr", tuple(("v", b.name) for b in bs), ("k", head.name)) if bs else ("k", head.name)
-            atoms = (("sube", t.name, ("arr", (inner,), ("v", g.name))),)
-            return [(new, atoms)]
-        return None
+        return [
+            (tuple(leq(arrow(p, s.target), t) for p in src_t.components), ())
+        ]
+    # rules 14 and 15: the source is a path with a constant (variable) head
+    head = _head_of(src_t)
+    args = path_split(src_t).arguments if isinstance(src_t, Arrow) else ()
+    bs = [gen.next() for _ in args]
+    g = gen.next()
+    new = tuple(leq(a, b) for a, b in zip(args, bs)) + (leq(s.target, g),)
+    kind = "k" if rule == 14 else "v"
+    inner = ("arr", tuple(("v", b.name) for b in bs), (kind, head.name)) if bs else (kind, head.name)
+    atoms = (("sube", t.name, ("arr", (inner,), ("v", g.name))),)
     if rule == 15:
-        head = _head_of(src_t)
-        if isinstance(head, Var):
-            args = path_split(src_t).arguments if not isinstance(src_t, Var) else ()
-            bs = [gen.next() for _ in args]
-            g = gen.next()
-            new = tuple(leq(a, b) for a, b in zip(args, bs)) + (leq(s.target, g),)
-            inner = ("arr", tuple(("v", b.name) for b in bs), ("v", head.name)) if bs else ("v", head.name)
-            atoms = (
-                ("sube", t.name, ("arr", (inner,), ("v", g.name))),
-                ("card1", head.name),
-            )
-            return [(new, atoms)]
-        return None
-    return None
+        atoms += (("card1", head.name),)
+    return [(new, atoms)]
 
 
 # ---------------------------------------------------------------------------
@@ -659,15 +662,6 @@ def iter_set_solutions(
     yield from rec()
 
 
-def solve_set_constraints(
-    scs: SetConstraintSystem, budget: tuple[int, int] = (3, 6)
-) -> dict[str, frozenset[Type]] | None:
-    """First satisfying assignment within the budget, or None."""
-    for sol in iter_set_solutions(scs, budget):
-        return sol
-    return None
-
-
 def assignment_to_substitution(
     scs: SetConstraintSystem,
     assignment: dict[str, frozenset[Type]],
@@ -697,17 +691,25 @@ def solve_rank1(
     for c in cs:
         original_vars |= type_vars(c.lhs) | type_vars(c.rhs)
     tried = 0
-    branches = list(rank1_transform(cs))
+    # the first round pulls the branches one at a time and records them,
+    # so a solution found early leaves the rest of the transform undone
+    branches: list[SetConstraintSystem] = []
+
+    def first_round() -> Iterator[SetConstraintSystem]:
+        for scs in rank1_transform(cs):
+            branches.append(scs)
+            yield scs
+
     # candidate-pool growth rounds: a failed search still constructs
     # elements (recorded in grown), and the next round offers them as
     # arrow partners, so deep solution elements get built stepwise;
     # stop at a pool fixpoint or when the node caps stop truncating
     grown: set[Type] = set()
     cap = 2_000
-    for _ in range(8):
+    for round_no in range(8):
         before = len(grown)
         truncated = 0
-        for scs in branches:
+        for scs in first_round() if round_no == 0 else branches:
             try:
                 for assignment in iter_set_solutions(
                     scs, budget, max_nodes=cap, extra_pool=grown

@@ -108,19 +108,37 @@ def arrows(args, target: Type) -> Type:
 
 
 def skey(t: Type):
-    """Structural sort key: a nested tuple, total order over all types."""
+    """Structural sort key: a nested tuple, total order over all types.
+
+    Keys are built bottom-up on an explicit stack, so the depth of t is not
+    bounded by the Python stack."""
     k = t._skey
-    if k is None:
-        if isinstance(t, Const):
-            k = (0, t.name)
-        elif isinstance(t, Var):
-            k = (1, t.name)
-        elif isinstance(t, Arrow):
-            k = (3, skey(t.source), skey(t.target))
+    if k is not None:
+        return k
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if isinstance(u, Const):
+            u._skey = (0, u.name)
+        elif isinstance(u, Var):
+            u._skey = (1, u.name)
+        elif isinstance(u, Arrow):
+            src, tgt = u.source._skey, u.target._skey
+            if src is None or tgt is None:
+                if src is None:
+                    stack.append(u.source)
+                if tgt is None:
+                    stack.append(u.target)
+                continue
+            u._skey = (3, src, tgt)
         else:
-            k = (4,) + tuple(skey(c) for c in t.components)
-        t._skey = k
-    return k
+            todo = [c for c in u.components if c._skey is None]
+            if todo:
+                stack.extend(todo)
+                continue
+            u._skey = (4,) + tuple(c._skey for c in u.components)
+        stack.pop()
+    return t._skey
 
 
 def inter(parts) -> Type:

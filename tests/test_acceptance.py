@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the lines as the
 criteria complete; each test also enforces its own time budget.
 """
 
+import gc
 import random
 import statistics
 import sys
@@ -162,6 +163,9 @@ def test_criterion_3_quadratic_scaling():
             reps = []
             for r in range(3):
                 lhs, rhs = _scaling_family(f"s{n}r{r}", n)
+                # a full collection owed by earlier tests would otherwise
+                # land inside one timed repetition
+                gc.collect()
                 t0 = time.perf_counter()
                 assert subtype(lhs, rhs)
                 reps.append(time.perf_counter() - t0)

@@ -1,14 +1,20 @@
 """Rank-1 unification: the transformation to set constraints, the
 finite-set solver, and the simple-type subtyping lemmas it relies on."""
 
+import hashlib
+import os
 import random
 
 import pytest
 
+import itu.rank1
 from itu import (
     OMEGA,
     Arrow,
+    Const,
+    Inter,
     Substitution,
+    Var,
     apply,
     arrow,
     arrows,
@@ -17,22 +23,23 @@ from itu import (
     deep_organize,
     find_arrow_index_set,
     format_set_system,
+    format_substitution,
     inter,
     is_simple,
     iter_set_solutions,
+    leq,
     organize,
     parse_constraints,
     parse_set_system,
     parse_type,
     rank1_transform,
     solve_rank1,
-    solve_set_constraints,
     subtype,
     type_equal,
     verify,
 )
 from itu.gen import TypeGen
-from itu.rank1 import simple_depth
+from itu.rank1 import _NO_RULE, _classify, simple_depth
 
 S = parse_type
 
@@ -86,6 +93,125 @@ class TestTransform:
         assert systems
 
 
+# ---------------------------------------------------------------------------
+# the transform's output, pinned: every branch in order with its fresh
+# names, and the solver's answer
+
+
+def _var_occurrences(t) -> int:
+    n, stack = 0, [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            n += 1
+        elif isinstance(u, Arrow):
+            stack += (u.source, u.target)
+        elif isinstance(u, Inter):
+            stack += u.components
+    return n
+
+
+def _pinned_inputs(ex55_constraints):
+    yield "self", parse_constraints("'x <= 'x -> a")
+    yield "ex55", ex55_constraints
+    # the criterion-8 draws with at most two variable occurrences
+    rng = random.Random(8)
+    g = TypeGen(rng, allow_omega=False)
+    kept = drawn = 0
+    while kept < 40:
+        image = g.simple_intersection(2, width=2)
+        template = g.type(rng.randint(0, 2))
+        drawn += 1
+        if _var_occurrences(template) > 2:
+            continue
+        kept += 1
+        ground = apply(Substitution({"x": image, "y": image}), template)
+        yield f"c8-{drawn}", (leq(ground, template),)
+
+
+def _pinned_text(cs) -> tuple[int, str]:
+    parts = [format_set_system(scs) for scs in rank1_transform(cs)]
+    sol = solve_rank1(cs, budget=(2, 4))
+    parts.append("none\n" if sol is None else format_substitution(sol))
+    return len(parts) - 1, "---\n".join(parts)
+
+
+def test_transform_matches_pinned_output(ex55_constraints):
+    path = os.path.join(os.path.dirname(__file__), "rank1_pinned.txt")
+    with open(path) as fh:
+        want = [line.split() for line in fh if not line.startswith("#")]
+    got = []
+    for name, cs in _pinned_inputs(ex55_constraints):
+        n, text = _pinned_text(cs)
+        got.append([name, str(n), hashlib.sha256(text.encode()).hexdigest()])
+    assert got == want
+
+
+def test_solve_rank1_pulls_branches_lazily(monkeypatch):
+    # c <= 'y has two systems, y = {c} and (y := omega) the empty one;
+    # the first solves it, so the second is never built
+    cs = parse_constraints("c <= 'y")
+    assert len(list(rank1_transform(cs))) == 2
+    pulls = []
+    transform = itu.rank1.rank1_transform
+
+    def counting(cs, *args, **kwargs):
+        for scs in transform(cs, *args, **kwargs):
+            pulls.append(scs)
+            yield scs
+
+    monkeypatch.setattr(itu.rank1, "rank1_transform", counting)
+    s = solve_rank1(cs)
+    assert s is not None and verify(s, cs)
+    assert len(pulls) == 1
+
+
+def _head(t):
+    while isinstance(t, Arrow):
+        t = t.target
+    return t
+
+
+def _arrow_to_var(s, t):
+    return isinstance(s, Arrow) and isinstance(t, Var)
+
+
+# the reference for _classify, written apart from it: the applicability
+# condition of each rewrite rule on s <= t, in priority order
+RULE_CONDITIONS = (
+    (1, lambda s, t: subtype(s, t)),
+    (2, lambda s, t: isinstance(t, Var) and is_simple(s)),
+    (3, lambda s, t: isinstance(s, Var) and is_simple(t)),
+    (4, lambda s, t: isinstance(s, Var) and isinstance(t, Var)),
+    (5, lambda s, t: s is OMEGA),
+    (6, lambda s, t: isinstance(t, Inter)),
+    (7, lambda s, t: (isinstance(s, Const) and isinstance(t, (Arrow, Const)))
+        or (isinstance(s, Arrow) and isinstance(t, Const))),
+    (8, lambda s, t: isinstance(s, Inter) and isinstance(t, (Arrow, Const))
+        and isinstance(_head(t), Const)),
+    (9, lambda s, t: isinstance(s, Inter) and isinstance(_head(t), Var)),
+    (10, lambda s, t: isinstance(s, Arrow) and isinstance(t, Arrow)),
+    (11, lambda s, t: isinstance(s, Var) and isinstance(t, Arrow)),
+    (12, lambda s, t: _arrow_to_var(s, t) and s.source is OMEGA),
+    (13, lambda s, t: _arrow_to_var(s, t) and isinstance(s.source, Inter)),
+    (14, lambda s, t: _arrow_to_var(s, t) and isinstance(_head(s.source), Const)),
+    (15, lambda s, t: _arrow_to_var(s, t) and isinstance(_head(s.source), Var)),
+)
+
+
+def test_classifier_picks_the_first_applicable_rule(rng):
+    g = TypeGen(rng)
+    seen = set()
+    for _ in range(4000):
+        s, t = g.type(rng.randint(0, 3)), g.type(rng.randint(0, 3))
+        if rng.random() < 0.5:
+            s, t = deep_organize(s), deep_organize(t)
+        want = next((r for r, holds in RULE_CONDITIONS if holds(s, t)), _NO_RULE)
+        assert _classify(s, t) == want, (s, t)
+        seen.add(want)
+    assert seen >= set(range(1, 16))
+
+
 class TestSetSolver:
     def solve_all(self, text, budget=(3, 4)):
         return list(iter_set_solutions(parse_set_system(text), budget))
@@ -137,7 +263,7 @@ class TestSetSolver:
 
     def test_solve_helper(self):
         scs = parse_set_system("vars: x\n{a} <= x\n")
-        got = solve_set_constraints(scs)
+        got = next(iter_set_solutions(scs), None)
         assert got is not None and const("a") in got["x"]
 
     def test_budget_depth_respected(self):

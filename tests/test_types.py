@@ -13,6 +13,7 @@ from itu import (
     TypeSyntaxError,
     Var,
     arrow,
+    arrows,
     components,
     const,
     inter,
@@ -103,6 +104,12 @@ class TestParser:
             assert t.source is const("a")
             t, arrows_seen = t.target, arrows_seen + 1
         assert (t, arrows_seen) == (const("a"), 10**4 - 1)
+
+    def test_deep_component_sorts_at_default_recursion_limit(self):
+        # inter sorts its components by skey, which must not recurse
+        chain = arrows([const("a")] * 1999, const("a"))
+        t = parse_type("(" + " -> ".join(["a"] * 2000) + ") & b")
+        assert t is inter([chain, const("b")])
 
 
 class TestPrinter:
