@@ -69,10 +69,6 @@ JOIN_AXIOMS = (A, C, I, U, DL, RE, AB_CAP, DR_MINUS)
 ALL_AXIOMS = {ax.name: ax for ax in BASE_AXIOMS + (AB_CAP, DR_MINUS)}
 
 
-def instantiate_axiom(schema: AxiomSchema, args: Sequence[Type]) -> tuple[Type, Type]:
-    return schema.instantiate(args)
-
-
 def check_axiom_soundness(schema: AxiomSchema, args: Sequence[Type]) -> bool:
     lhs, rhs = schema.instantiate(args)
     return type_equal(lhs, rhs)

@@ -167,7 +167,6 @@ def _cmd_axioms(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="itu", description=__doc__)
-    p.add_argument("--jobs", type=int, default=1, help="parallel independent instances (advisory)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("subtype")

@@ -8,7 +8,6 @@ extractor that replays a satisfying substitution as a winning play.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -58,26 +57,34 @@ def gamma_name(d: str, i: int) -> str:
     return f"gamma_{d}_{i}"
 
 
-def _check_system(t: TilingSystem, bullet: Const) -> None:
+def _marker(t: TilingSystem, bullet: Const | None) -> Const:
+    """The marker constant (``mark`` by default), checked against the tiles."""
+    bullet = bullet or const(DEFAULT_BULLET_NAME)
     for d in t.tiles:
         if not _IDENT.match(d) or d == "omega":
             raise ValueError(f"tile {d!r} is not usable as a type constant")
         if d == bullet.name:
             raise ValueError(f"tile {d!r} collides with the marker constant")
+    return bullet
 
 
-def word_type(word: Sequence[str], bullet: Const) -> Type:
+def word_type(word: Sequence[str], bullet: Type) -> Type:
     """[w]: the word read as a type, last tile outermost, marker innermost."""
     return arrows([const(d) for d in reversed(word)], bullet)
 
 
-def _ct_parts(t: TilingSystem, bullet: Const) -> dict[str, Type]:
+def _ct_parts(
+    t: TilingSystem, bullet: Const, wild: list[Type], v_runs: dict[str, Type]
+) -> dict[str, Type]:
+    """The parts CT and CT' share.  They differ only in how they write "any
+    tile here": ``wild`` lists the types that read one arbitrary tile, and
+    ``v_runs[d]`` reads n-1 arbitrary tiles, then d, then alpha."""
     alpha = var(ALPHA)
     tiles = t.tiles
-    tower = arrows([const(x) for x in reversed(t.top)], alpha)
+    tower = word_type(t.top, alpha)
     return {
         "sigma_b": word_type(t.bottom, bullet),
-        "sigma_t": inter([tower, arrow(OMEGA, tower)]),
+        "sigma_t": inter([tower] + [arrow(w, tower) for w in wild]),
         "sigma_bot_h": inter(
             arrows([const(d2), const(d)], alpha)
             for d in tiles
@@ -85,12 +92,20 @@ def _ct_parts(t: TilingSystem, bullet: Const) -> dict[str, Type]:
             if (d, d2) not in t.h
         ),
         "sigma_bot_v": inter(
-            arrows([const(d2)] + [OMEGA] * (t.n - 1) + [const(d)], alpha)
+            arrow(const(d2), v_runs[d])
             for d in tiles
             for d2 in tiles
             if (d, d2) not in t.v
         ),
+        "respects_h": inter(arrows([const(d), const(d2)], alpha) for d2, d in t.h),
+        "respects_v": inter(arrow(const(d), v_runs[d2]) for d2, d in t.v),
     }
+
+
+def _omega_parts(t: TilingSystem, bullet: Const) -> dict[str, Type]:
+    """CT's parts: omega reads any tile."""
+    runs = {d: arrows([OMEGA] * (t.n - 1) + [const(d)], var(ALPHA)) for d in t.tiles}
+    return _ct_parts(t, bullet, [OMEGA], runs)
 
 
 def _game_moves(t: TilingSystem, parts: dict[str, Type]) -> Constraint:
@@ -110,77 +125,32 @@ def _game_moves(t: TilingSystem, parts: dict[str, Type]) -> Constraint:
     return leq(lhs, rhs)
 
 
-def _respects_rhs(t: TilingSystem) -> Type:
-    return inter(arrow(const(d), var(beta_name(d))) for d in t.tiles)
+def _constraints(t: TilingSystem, parts: dict[str, Type]) -> list[Constraint]:
+    respects_rhs = inter(arrow(const(d), var(beta_name(d))) for d in t.tiles)
+    return [
+        _game_moves(t, parts),
+        leq(parts["respects_h"], respects_rhs),
+        leq(parts["respects_v"], respects_rhs),
+    ]
 
 
 def build_CT(t: TilingSystem, bullet: Const | None = None) -> ConstraintSet:
     """The three-constraint system over D + marker; satisfiable iff
     Constructor wins the spiral game."""
-    bullet = bullet or const(DEFAULT_BULLET_NAME)
-    _check_system(t, bullet)
-    alpha = var(ALPHA)
-    parts = _ct_parts(t, bullet)
-    respects_h = inter(
-        arrows([const(d), const(d2)], alpha) for d2, d in t.h
-    )
-    respects_v = inter(
-        arrows([const(d)] + [OMEGA] * (t.n - 1) + [const(d2)], alpha)
-        for d2, d in t.v
-    )
-    return (
-        _game_moves(t, parts),
-        leq(respects_h, _respects_rhs(t)),
-        leq(respects_v, _respects_rhs(t)),
-    )
+    return tuple(_constraints(t, _omega_parts(t, _marker(t, bullet))))
 
 
 def build_CT_prime(t: TilingSystem, bullet: Const | None = None) -> ConstraintSet:
-    """The omega-free variant: wildcard positions are expressed through the
-    chain variables gamma_d_i instead of omega."""
-    bullet = bullet or const(DEFAULT_BULLET_NAME)
-    _check_system(t, bullet)
-    alpha = var(ALPHA)
-    tiles = t.tiles
-    tower = arrows([const(x) for x in reversed(t.top)], alpha)
-    parts = {
-        "sigma_b": word_type(t.bottom, bullet),
-        "sigma_t": inter([tower] + [arrow(const(d2), tower) for d2 in tiles]),
-        "sigma_bot_h": inter(
-            arrows([const(d2), const(d)], alpha)
-            for d in tiles
-            for d2 in tiles
-            if (d, d2) not in t.h
-        ),
-        "sigma_bot_v": inter(
-            arrow(const(d2), var(gamma_name(d, t.n)))
-            for d in tiles
-            for d2 in tiles
-            if (d, d2) not in t.v
-        ),
-    }
-    respects_h = inter(
-        arrows([const(d), const(d2)], alpha) for d2, d in t.h
-    )
-    respects_v = inter(
-        arrow(const(d), var(gamma_name(d2, t.n))) for d2, d in t.v
-    )
-    out = [
-        _game_moves(t, parts),
-        leq(respects_h, _respects_rhs(t)),
-        leq(respects_v, _respects_rhs(t)),
-    ]
-    for d in tiles:
-        out.append(eq(var(gamma_name(d, 1)), arrow(const(d), alpha)))
+    """The omega-free variant: one arrow per tile reads any tile, and the
+    chain variable gamma_d_i reads i-1 arbitrary tiles, then d, then alpha."""
+    tiles = [const(e) for e in t.tiles]
+    runs = {d: var(gamma_name(d, t.n)) for d in t.tiles}
+    out = _constraints(t, _ct_parts(t, _marker(t, bullet), tiles, runs))
+    for d in t.tiles:
+        out.append(eq(var(gamma_name(d, 1)), arrow(const(d), var(ALPHA))))
         for i in range(2, t.n + 1):
-            out.append(
-                eq(
-                    var(gamma_name(d, i)),
-                    inter(
-                        arrow(const(e), var(gamma_name(d, i - 1))) for e in tiles
-                    ),
-                )
-            )
+            chain = inter(arrow(e, var(gamma_name(d, i - 1))) for e in tiles)
+            out.append(eq(var(gamma_name(d, i)), chain))
     return tuple(out)
 
 
@@ -194,8 +164,7 @@ def compile_strategy(
     system: alpha collects all move words up to depth(f)+n, beta_d the
     positions at which the strategy places d.
     """
-    bullet = bullet or const(DEFAULT_BULLET_NAME)
-    _check_system(t, bullet)
+    bullet = _marker(t, bullet)
     if not validate_strategy(t, f):
         raise ValueError("invalid strategy tree")
     k = f.depth() + t.n
@@ -203,13 +172,6 @@ def compile_strategy(
         raise ValueError(
             f"compiled substitution would have {len(t.tiles)}^{k} scale; "
             "pass override=True to proceed"
-        )
-    total = sum(len(t.tiles) ** i for i in range(k + 1))
-    cap = os.environ.get("ITU_MAX_COMPONENTS")
-    if cap is not None and total > int(cap):
-        raise ValueError(
-            f"compiled substitution needs {total} components, "
-            f"above ITU_MAX_COMPONENTS={cap}"
         )
     comps: list[Type] = [bullet]
     level: list[Type] = [bullet]
@@ -266,10 +228,9 @@ def extract_play(
     against the current position, consulting the Spoiler oracle between
     moves.  Guaranteed to terminate within the longest path on the right
     of the game-moves constraint."""
-    bullet = bullet or const(DEFAULT_BULLET_NAME)
-    _check_system(t, bullet)
+    bullet = _marker(t, bullet)
     s = Substitution({k: organize(v) for k, v in s.mapping.items()})
-    parts = _ct_parts(t, bullet)
+    parts = _omega_parts(t, bullet)
     bot_h = apply(s, parts["sigma_bot_h"])
     bot_v = apply(s, parts["sigma_bot_v"])
     fin = apply(s, parts["sigma_t"])

@@ -17,12 +17,13 @@ from typing import Iterator, Sequence
 
 INFINITY = float("inf")
 
-# claim tags, in classification priority order
+# claim tags, in the order Constructor's claim is chosen (the strategy
+# trees depend on it)
 FINISHED = "finished"
 LATE_MOVE = "late-move"
 H_VIOLATION = "h-violation"
 V_VIOLATION = "v-violation"
-CLAIMS = (FINISHED, LATE_MOVE, H_VIOLATION, V_VIOLATION)
+CLAIMS = (FINISHED, LATE_MOVE, V_VIOLATION, H_VIOLATION)
 
 SPOILER = "spoiler"
 
@@ -37,6 +38,8 @@ class TilingSystem:
     n: int
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be positive")
         if len(self.bottom) != self.n or len(self.top) != self.n:
             raise ValueError("bottom and top must have length n")
         tileset = set(self.tiles)
@@ -83,6 +86,8 @@ def parse_tiling(text: str) -> TilingSystem:
     for req in ("tiles", "bottom", "top", "n"):
         if req not in fields:
             raise ValueError(f"missing '{req}:' line")
+    if not fields["n"]:
+        raise ValueError("'n:' line has no value")
     return make_system(
         fields["tiles"],
         fields.get("h", []),
@@ -153,23 +158,27 @@ def corridor_to_spiral(t: TilingSystem, pad: str = "#") -> TilingSystem:
 # the spiral game
 
 
-def _claim(t: TilingSystem, window: tuple[str, ...]) -> str | None:
-    """First applicable claim for Constructor, or None.
+def _claim_holds(t: TilingSystem, window: tuple[str, ...], claim: str) -> bool:
+    """Whether ``claim`` is justified at Constructor's turn.
 
-    ``window`` holds the last min(len, n+1) tiles; at Constructor's turn
-    past the opening position the final tile is Spoiler's last move.
+    ``window`` holds the last min(len, n+1) tiles; past the opening
+    position the final tile is Spoiler's last move.
     """
     n = t.n
-    if window[-n:] == t.top:
-        return FINISHED
-    if len(window) == n + 1:
-        if window[:-1] == t.top:
-            return LATE_MOVE
-        if (window[0], window[-1]) not in t.v:
-            return V_VIOLATION
-    if len(window) >= 2 and (window[-2], window[-1]) not in t.h:
-        return H_VIOLATION
-    return None
+    if claim == FINISHED:
+        return window[-n:] == t.top
+    if claim == LATE_MOVE:
+        return len(window) == n + 1 and window[:-1] == t.top
+    if claim == H_VIOLATION:
+        return len(window) >= 2 and (window[-2], window[-1]) not in t.h
+    if claim == V_VIOLATION:
+        return len(window) == n + 1 and (window[0], window[-1]) not in t.v
+    return False
+
+
+def _claim(t: TilingSystem, window: tuple[str, ...]) -> str | None:
+    """First claim Constructor can justify, in priority order, or None."""
+    return next((c for c in CLAIMS if _claim_holds(t, window, c)), None)
 
 
 def _legal_moves(t: TilingSystem, window: tuple[str, ...]) -> list[str]:
@@ -182,6 +191,15 @@ def _legal_moves(t: TilingSystem, window: tuple[str, ...]) -> list[str]:
 
 def _push(t: TilingSystem, window: tuple[str, ...], tile: str) -> tuple[str, ...]:
     return (window + (tile,))[-(t.n + 1):]
+
+
+def _move_cost(t: TilingSystem, values, window: tuple[str, ...], d: str) -> float:
+    """Tiles Constructor needs to win by playing d: 1 if the move completes
+    the top row, else 2 + the value after Spoiler's worst reply."""
+    after = _push(t, window, d)
+    if after[-t.n:] == t.top:
+        return 1.0
+    return 2.0 + max(values[_push(t, after, d2)] for d2 in t.tiles)
 
 
 def game_values(t: TilingSystem) -> dict[tuple[str, ...], float]:
@@ -206,23 +224,16 @@ def game_values(t: TilingSystem) -> dict[tuple[str, ...], float]:
                 if nxt not in reachable:
                     reachable.add(nxt)
                     frontier.append(nxt)
-    values = {w: INFINITY for w in reachable}
+    values = {w: 0.0 if _claim(t, w) else INFINITY for w in reachable}
+    open_windows = [w for w in reachable if values[w] is INFINITY]
     changed = True
     while changed:
         changed = False
-        for w in reachable:
-            if _claim(t, w) is not None:
-                best = 0.0
-            else:
-                best = INFINITY
-                for d in _legal_moves(t, w):
-                    after = _push(t, w, d)
-                    if after[-t.n:] == t.top:
-                        cost = 1.0
-                    else:
-                        worst = max(values[_push(t, after, d2)] for d2 in t.tiles)
-                        cost = 2.0 + worst
-                    best = min(best, cost)
+        for w in open_windows:
+            best = min(
+                (_move_cost(t, values, w, d) for d in _legal_moves(t, w)),
+                default=INFINITY,
+            )
             if best < values[w]:
                 values[w] = best
                 changed = True
@@ -244,9 +255,6 @@ class StrategyTree:
     def depth(self) -> int:
         return max(len(s) for s in self.nodes)
 
-    def domain(self) -> set[tuple[str, ...]]:
-        return set(self.nodes)
-
 
 def solve_spiral_game(t: TilingSystem, max_len: int = 0) -> StrategyTree | None:
     """Winning strategy achieving the win within max_len total tiles, or
@@ -265,18 +273,9 @@ def solve_spiral_game(t: TilingSystem, max_len: int = 0) -> StrategyTree | None:
         if claim is not None:
             nodes[s] = claim
             return
-        best_d = None
-        best_cost = INFINITY
-        for d in _legal_moves(t, window):
-            after = _push(t, window, d)
-            if after[-t.n:] == t.top:
-                cost = 1.0
-            else:
-                cost = 2.0 + max(values[_push(t, after, d2)] for d2 in t.tiles)
-            if cost < best_cost:
-                best_cost = cost
-                best_d = d
-        assert best_d is not None, "winning position without claim or move"
+        best_d = min(
+            _legal_moves(t, window), key=lambda d: _move_cost(t, values, window, d)
+        )
         nodes[s] = best_d
         after = _push(t, window, best_d)
         nodes[s + (best_d,)] = SPOILER
@@ -290,7 +289,7 @@ def solve_spiral_game(t: TilingSystem, max_len: int = 0) -> StrategyTree | None:
 def validate_strategy(t: TilingSystem, f: StrategyTree) -> bool:
     """Structural validity of a strategy tree: prefix closure, full Spoiler
     branching, single legal Constructor moves, justified claims."""
-    dom = f.domain()
+    dom = f.nodes
     for s in dom:
         if s and s[:-1] not in dom:
             return False
@@ -305,7 +304,7 @@ def validate_strategy(t: TilingSystem, f: StrategyTree) -> bool:
         elif label in CLAIMS:
             if any(s + (d,) in dom for d in t.tiles):
                 return False
-            if _claim_holds(t, window, label) is False:
+            if not _claim_holds(t, window, label):
                 return False
         else:
             children = [d for d in t.tiles if s + (d,) in dom]
@@ -316,17 +315,21 @@ def validate_strategy(t: TilingSystem, f: StrategyTree) -> bool:
     return () in dom
 
 
-def _claim_holds(t: TilingSystem, window: tuple[str, ...], claim: str) -> bool:
-    n = t.n
-    if claim == FINISHED:
-        return window[-n:] == t.top
-    if claim == LATE_MOVE:
-        return len(window) == n + 1 and window[:-1] == t.top
-    if claim == H_VIOLATION:
-        return len(window) >= 2 and (window[-2], window[-1]) not in t.h
-    if claim == V_VIOLATION:
-        return len(window) == n + 1 and (window[0], window[-1]) not in t.v
-    return False
+def _constructor_turn(
+    t: TilingSystem, f: StrategyTree, s: tuple[str, ...], seq: tuple[str, ...]
+) -> tuple[bool | None, tuple[str, ...]]:
+    """Constructor's turn at node s, with the tiles seq laid so far.
+
+    At a leaf (a claim, or a move completing a correct spiral) returns
+    (constructor_won, seq); otherwise (None, seq extended by his move).
+    """
+    label = f.nodes[s]
+    if label in CLAIMS:
+        return _claim_holds(t, seq[-(t.n + 1):], label), seq
+    seq += (label,)
+    if seq[-t.n:] == t.top and validate_spiral(t, seq):
+        return True, seq
+    return None, seq
 
 
 def replay_strategy(
@@ -339,36 +342,28 @@ def replay_strategy(
     """
     s: tuple[str, ...] = ()
     seq = t.bottom
-    i = 0
+    replies = iter(spoiler_moves)
     while True:
-        label = f.nodes[s]
-        if label in CLAIMS:
-            return _claim_holds(t, seq[-(t.n + 1):], label), seq
-        seq = seq + (label,)
-        if seq[-t.n:] == t.top and validate_spiral(t, seq):
-            return True, seq
-        if i >= len(spoiler_moves):
+        won, seq = _constructor_turn(t, f, s, seq)
+        if won is not None:
+            return won, seq
+        d2 = next(replies, None)
+        if d2 is None:
             raise ValueError("spoiler move list exhausted before a leaf")
-        d2 = spoiler_moves[i]
-        i += 1
-        s = s + (label, d2)
-        seq = seq + (d2,)
+        s += (seq[-1], d2)
+        seq += (d2,)
 
 
 def all_playouts(t: TilingSystem, f: StrategyTree) -> Iterator[tuple[bool, tuple[str, ...]]]:
     """Exhaustively replay the strategy against every Spoiler behaviour."""
 
     def walk(s: tuple[str, ...], seq: tuple[str, ...]) -> Iterator[tuple[bool, tuple[str, ...]]]:
-        label = f.nodes[s]
-        if label in CLAIMS:
-            yield _claim_holds(t, seq[-(t.n + 1):], label), seq
-            return
-        seq2 = seq + (label,)
-        if seq2[-t.n:] == t.top and validate_spiral(t, seq2):
-            yield True, seq2
+        won, seq = _constructor_turn(t, f, s, seq)
+        if won is not None:
+            yield won, seq
             return
         for d2 in t.tiles:
-            yield from walk(s + (label, d2), seq2 + (d2,))
+            yield from walk(s + (seq[-1], d2), seq + (d2,))
 
     yield from walk((), t.bottom)
 

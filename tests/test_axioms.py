@@ -10,7 +10,6 @@ from itu import (
     arrow,
     check_axiom_soundness,
     const,
-    instantiate_axiom,
     parse_type,
     print_type,
     type_equal,
@@ -20,40 +19,36 @@ from itu.gen import TypeGen
 
 
 def test_instantiate_ab():
-    lhs, rhs = instantiate_axiom(AB, [const("a"), const("b"), const("c")])
+    lhs, rhs = AB.instantiate([const("a"), const("b"), const("c")])
     assert print_type(lhs) == "a -> b"
     assert type_equal(rhs, parse_type("(a -> b) & (a & c -> b)"))
 
 
 def test_instantiate_u():
-    lhs, rhs = instantiate_axiom(U, [const("a")])
+    lhs, rhs = U.instantiate([const("a")])
     assert lhs is const("a")  # canonical inter drops omega
     assert rhs is const("a")
 
 
 def test_instantiate_re():
-    lhs, rhs = instantiate_axiom(RE, [])
+    lhs, rhs = RE.instantiate([])
     assert print_type(rhs) == "omega -> omega"
 
 
 def test_arity_mismatch():
     with pytest.raises(AxiomError):
-        instantiate_axiom(AB, [const("a")])
+        AB.instantiate([const("a")])
 
 
 def test_ab_cap_requires_arrows_with_shared_target():
     with pytest.raises(AxiomError):
-        instantiate_axiom(AB_CAP, [const("a"), const("b")])
+        AB_CAP.instantiate([const("a"), const("b")])
     with pytest.raises(AxiomError):
-        instantiate_axiom(
-            AB_CAP, [parse_type("a -> b"), parse_type("a -> c")]
-        )
+        AB_CAP.instantiate([parse_type("a -> b"), parse_type("a -> c")])
 
 
 def test_dr_minus_golden():
-    lhs, rhs = instantiate_axiom(
-        DR_MINUS, [const("a"), const("b"), const("c")]
-    )
+    lhs, rhs = DR_MINUS.instantiate([const("a"), const("b"), const("c")])
     assert check_axiom_soundness(DR_MINUS, [const("a"), const("b"), const("c")])
 
 

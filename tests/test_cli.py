@@ -7,7 +7,7 @@ import pytest
 
 from itu import format_tiling, parse_substitution, parse_type, verify
 from itu import parse_constraints
-from itu.cli import build_parser, run
+from itu.cli import run
 
 
 def write(path, text):
@@ -154,6 +154,18 @@ class TestGamePipeline:
         run(["solve-game", tiling, "-o", str(strat)])
         assert run(["compile-strategy", tiling, str(strat)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("tiles: a\nbottom: a\ntop: a\nn:\n", "'n:' line has no value"),
+            ("tiles: a\nh: a a\nv: a a\nbottom:\ntop:\nn: 0\n", "n must be positive"),
+        ],
+    )
+    def test_malformed_n_is_an_input_error(self, tmp_path, capsys, text, message):
+        tiling = write(tmp_path / "t.txt", text)
+        assert run(["solve-game", tiling]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestRank1:
     def test_solvable(self, tmp_path, capsys):
@@ -182,9 +194,6 @@ class TestUsage:
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
 
-    def test_jobs_flag_accepted(self):
-        assert run(["--jobs", "4", "equal", "a", "a"]) == 0
-
 
 def readme_cli_lines():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -192,9 +201,24 @@ def readme_cli_lines():
     return [line for line in block.splitlines() if line.startswith("itu ")]
 
 
-def test_readme_cli_block_matches_parser():
+# the files the README's CLI block names; spiral.tiling is a small winner
+README_FILES = {
+    "spiral.tiling": "tiles: a b\nh: a a\nh: a b\nh: b a\nh: b b\n"
+    "v: a b\nv: b a\nv: b b\nbottom: a a\ntop: b a\nn: 2\n",
+    "c.txt": "'al <= 'al -> a\n",
+    "s.txt": "'al := a & (a -> a)\n",
+    "formula.cnf": "p cnf 2 2\n1 2 2 0\n-1 2 2 0\n",
+}
+
+
+def test_readme_cli_block_matches_parser(tmp_path, monkeypatch, capsys):
+    # every line in order, as a reader would run them in one directory:
+    # each answers yes or no, none is a usage or input error
+    for name, text in README_FILES.items():
+        write(tmp_path / name, text)
+    monkeypatch.chdir(tmp_path)
     lines = readme_cli_lines()
     assert len(lines) >= 10
     for line in lines:
-        args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
-        assert args.fn is not None, line
+        code = run(shlex.split(line, comments=True)[1:])
+        assert code in (0, 1), (line, capsys.readouterr().err)

@@ -1,6 +1,8 @@
 """Game-to-constraints reduction: builders, strategy compiler, play
 extractor, and the desk-scale equivalence sweep."""
 
+import hashlib
+import os
 import random
 from itertools import product
 
@@ -10,6 +12,7 @@ from itu import (
     INFINITY,
     ExtractionError,
     Substitution,
+    all_playouts,
     build_CT,
     build_CT_prime,
     compile_strategy,
@@ -17,9 +20,13 @@ from itu import (
     enumerate_systems,
     extend_ct_prime,
     extract_play,
+    format_constraints,
+    format_strategy,
+    format_substitution,
     game_values,
     make_system,
     print_type,
+    replay_strategy,
     solve_spiral_game,
     type_vars,
     verify,
@@ -114,12 +121,6 @@ class TestCompiler:
             compile_strategy(
                 spiral_winner, StrategyTree(spiral_winner.tiles, {(): "finished"})
             )
-
-    def test_component_cap_env(self, spiral_winner, monkeypatch):
-        f = solve_spiral_game(spiral_winner)
-        monkeypatch.setenv("ITU_MAX_COMPONENTS", "10")
-        with pytest.raises(ValueError):
-            compile_strategy(spiral_winner, f, override=True)
 
 
 class TestExtractor:
@@ -221,3 +222,61 @@ class TestDeskScaleEquivalence:
             if checked >= 200:
                 break
         assert checked == 200
+
+
+# ---------------------------------------------------------------------------
+# the pipeline's output, pinned: game values, strategies, playouts, replays,
+# both constraint systems and the compiled CT' substitutions
+
+PINNED_PIECES = (
+    "values", "strategy", "playouts", "replays", "ct", "ct-prime", "ct-prime-sub"
+)
+
+
+def _pinned_pieces(t, compile_sub=True):
+    """The pipeline's printed output for one system, by piece; a piece
+    that does not apply (no strategy) is absent."""
+    out = {
+        "values": repr(sorted(game_values(t).items())),
+        "ct": format_constraints(build_CT(t)),
+        "ct-prime": format_constraints(build_CT_prime(t)),
+    }
+    f = solve_spiral_game(t)
+    if f is None:
+        return out
+    out["strategy"] = format_strategy(f)
+    out["playouts"] = repr(list(all_playouts(t, f)))
+    replays = []
+    for moves in product(t.tiles, repeat=6):
+        try:
+            replays.append(repr(replay_strategy(t, f, moves)))
+        except ValueError as e:
+            replays.append(f"ValueError: {e}")
+    out["replays"] = "\n".join(replays)
+    if compile_sub:
+        s = compile_strategy(t, f, override=True)
+        out["ct-prime-sub"] = format_substitution(extend_ct_prime(t, s))
+    return out
+
+
+def _pinned_lines(name, systems, compile_sub=True):
+    texts = {piece: [] for piece in PINNED_PIECES}
+    for t in systems:
+        for piece, text in _pinned_pieces(t, compile_sub).items():
+            texts[piece].append(text)
+    for piece in PINNED_PIECES:
+        if texts[piece]:
+            joined = "---\n".join(texts[piece])
+            digest = hashlib.sha256(joined.encode()).hexdigest()
+            yield [name, piece, str(len(texts[piece])), digest]
+
+
+def test_pipeline_matches_pinned_output(spiral_loser, spiral_winner):
+    path = os.path.join(os.path.dirname(__file__), "tiling_pinned.txt")
+    with open(path) as fh:
+        want = [line.split() for line in fh if not line.startswith("#")]
+    got = list(_pinned_lines("desk", desk_systems()))
+    got += _pinned_lines("loser", [spiral_loser])
+    # the n=5 winner's CT' substitution prints in the hundreds of megabytes
+    got += _pinned_lines("winner", [spiral_winner], compile_sub=False)
+    assert got == want

@@ -48,6 +48,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_tiling("tiles: a\nbottom: a\ntop: a\n")
 
+    def test_n_missing_or_not_positive(self):
+        with pytest.raises(ValueError):
+            parse_tiling("tiles: a\nbottom: a\ntop: a\nn:\n")
+        with pytest.raises(ValueError):
+            make_system(("a",), (), (), (), (), 0)
+
     def test_unknown_tile(self):
         with pytest.raises(ValueError):
             parse_tiling("tiles: a\nh: a z\nbottom: a\ntop: a\nn: 1\n")
