@@ -33,6 +33,7 @@ from .reduction import (
     build_CT,
     build_CT_prime,
     compile_strategy,
+    ExtractionError,
     extend_ct_prime,
     extract_play,
 )
@@ -115,7 +116,7 @@ def _cmd_compile_strategy(args) -> int:
     s = compile_strategy(t, f, override=args.override)
     if args.variant == "ct-prime":
         s = extend_ct_prime(t, s)
-    _emit(format_substitution(s), args.output)
+    _emit(format_substitution(s, shared=True), args.output)
     return 0
 
 
@@ -242,6 +243,10 @@ def run(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except ExtractionError as e:
+        # the substitution does not solve CT: a decided "no"
+        print(f"no: the substitution does not solve CT: {e}", file=sys.stderr)
+        return 1
     except (TypeSyntaxError, ValueError, OSError, RecursionError) as e:
         # RecursionError: an input nested deeper than a recursive layer
         # (printer, decider, organize) can follow; exit 1 would read as "no"

@@ -3,11 +3,15 @@
 File formats:
   constraint file   -- one constraint per line, ``TYPE <= TYPE`` or
                        ``TYPE == TYPE``; ``#`` starts a comment
-  substitution file -- lines ``'name := TYPE``
+  substitution file -- lines ``'name := TYPE``, and lines ``$k := TYPE``
+                       (k a decimal number) that name a shared subterm:
+                       later lines may write ``$k`` wherever an atom may
+                       stand.  A name is defined once, before it is used.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -21,6 +25,7 @@ from .types import (
     arrows,
     inter,
     parse_type,
+    print_shared,
     print_type,
     type_constants,
     type_vars,
@@ -272,8 +277,12 @@ def format_constraints(cs: Iterable[Constraint]) -> str:
     return "".join(f"{c}\n" for c in cs)
 
 
+_SHARED_NAME = re.compile(r"\$[0-9]+\Z")
+
+
 def parse_substitution(text: str) -> Substitution:
     mapping: dict[str, Type] = {}
+    defs: dict[str, Type] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -282,13 +291,25 @@ def parse_substitution(text: str) -> Substitution:
             raise ValueError(f"line {lineno}: expected ':=' in {raw!r}")
         name, body = line.split(":=", 1)
         name = name.strip()
-        if not name.startswith("'"):
-            raise ValueError(f"line {lineno}: variable name must start with an apostrophe")
-        mapping[name[1:]] = parse_type(body)
+        if name.startswith("'"):
+            mapping[name[1:]] = parse_type(body, defs)
+        elif _SHARED_NAME.match(name):
+            if name in defs:
+                raise ValueError(f"line {lineno}: {name!r} is defined twice")
+            defs[name] = parse_type(body, defs)
+        else:
+            raise ValueError(f"line {lineno}: expected 'name or $k before ':=', found {name!r}")
     return Substitution(mapping)
 
 
-def format_substitution(s: Substitution) -> str:
-    return "".join(
-        f"'{name} := {print_type(t)}\n" for name, t in sorted(s.mapping.items())
+def format_substitution(s: Substitution, shared: bool = False) -> str:
+    """One ``'name := TYPE`` line per variable, by name.  With ``shared``,
+    each arrow or intersection with two or more parents among the images
+    is written once, as a ``$k`` definition ahead of its first use."""
+    names = sorted(s.mapping)
+    if not shared:
+        return "".join(f"'{name} := {print_type(s.mapping[name])}\n" for name in names)
+    defs, texts = print_shared([s.mapping[name] for name in names])
+    return "".join(f"{d}\n" for d in defs) + "".join(
+        f"'{name} := {text}\n" for name, text in zip(names, texts)
     )

@@ -173,12 +173,14 @@ def compile_strategy(
             f"compiled substitution would have {len(t.tiles)}^{k} scale; "
             "pass override=True to proceed"
         )
-    comps: list[Type] = [bullet]
-    level: list[Type] = [bullet]
+    # every word up to length k, built in inter's component order: the
+    # marker and the tiles are constants, whose keys sort by name and before
+    # every arrow's, so the marker comes first and the words d -> w follow
+    # by tile name, then by w in the same order one length down
+    words: list[Type] = [bullet]
     for _ in range(k):
-        level = [arrow(const(d), u) for u in level for d in t.tiles]
-        comps.extend(level)
-    mapping: dict[str, Type] = {ALPHA: inter(comps)}
+        words = [bullet] + [arrow(const(d), w) for d in sorted(t.tiles) for w in words]
+    mapping: dict[str, Type] = {ALPHA: inter(words)}
     placed: dict[str, list[Type]] = {d: [] for d in t.tiles}
     for s, label in f.nodes.items():
         if len(s) % 2 == 0 and label in t.tiles:
@@ -229,7 +231,9 @@ def extract_play(
     moves.  Guaranteed to terminate within the longest path on the right
     of the game-moves constraint."""
     bullet = _marker(t, bullet)
-    s = Substitution({k: organize(v) for k, v in s.mapping.items()})
+    # only alpha and the betas occur in CT; CT' chain variables are left out
+    used = [ALPHA] + [beta_name(d) for d in t.tiles]
+    s = Substitution({k: organize(s.mapping[k]) for k in used if k in s.mapping})
     parts = _omega_parts(t, bullet)
     bot_h = apply(s, parts["sigma_bot_h"])
     bot_v = apply(s, parts["sigma_bot_v"])

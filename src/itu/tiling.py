@@ -88,6 +88,8 @@ def parse_tiling(text: str) -> TilingSystem:
             raise ValueError(f"missing '{req}:' line")
     if not fields["n"]:
         raise ValueError("'n:' line has no value")
+    if len(fields["n"]) > 1:
+        raise ValueError(f"'n:' line has more than one value: {' '.join(fields['n'])}")
     return make_system(
         fields["tiles"],
         fields.get("h", []),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 
 class Type:
@@ -320,9 +321,10 @@ class TypeSyntaxError(ValueError):
         self.position = position
 
 
-# A token is an operator, an identifier, or (third group) a character that
-# starts no token; whitespace only separates tokens and matches nothing.
-_TOKEN = re.compile(r"(->|[(&)'])|([a-z_][a-z0-9_]*)|([^ \t\r\n])")
+# A token is an operator, an identifier, a shared name ``$k``, or (fourth
+# group) a character that starts no token; whitespace only separates tokens
+# and matches nothing.
+_TOKEN = re.compile(r"(->|[(&)'])|([a-z_][a-z0-9_]*)|(\$[0-9]+)|([^ \t\r\n])")
 
 
 def _meet(parts: list[Type]) -> Type:
@@ -342,13 +344,16 @@ def _syntax_error(text: str, k: int, message: str) -> TypeSyntaxError:
     reported first, as if every token were read before any is parsed."""
     ms = list(_TOKEN.finditer(text))
     for m in ms:
-        if m.group(3):
-            return TypeSyntaxError(f"unexpected character {m.group(3)!r}", m.start())
+        if m.group(4):
+            return TypeSyntaxError(f"unexpected character {m.group(4)!r}", m.start())
     return TypeSyntaxError(message, ms[k].start() if k < len(ms) else len(text))
 
 
-def parse_type(text: str) -> Type:
+def parse_type(text: str, defs: Mapping[str, Type] | None = None) -> Type:
     """Parse one type; ``&`` binds tighter than the right-associative ``->``.
+
+    ``defs`` maps shared names (``$k``) to the types they stand for; a name
+    may stand wherever an atom may.  Without ``defs`` no name is in scope.
 
     One loop over the tokens keeps the open parentheses on an explicit
     stack, so the nesting depth is not bounded by the Python stack.
@@ -359,10 +364,10 @@ def parse_type(text: str) -> Type:
     parts: list[Type] = []  # the intersection being read after them
     want_atom = True
     quoted = False
-    for k, (op, name, _) in enumerate(tokens):
+    for k, (op, name, ref, _) in enumerate(tokens):
         if quoted:
             if not name:
-                raise _syntax_error(text, k, f"expected 'ident', found {op!r}")
+                raise _syntax_error(text, k, f"expected 'ident', found {op or ref!r}")
             if name == "omega":
                 raise _syntax_error(text, k, "'omega' is reserved and cannot name a variable")
             parts.append(var(name))
@@ -376,6 +381,13 @@ def parse_type(text: str) -> Type:
                 sources, parts = [], []
             elif op == "'":
                 quoted = True
+            elif ref:
+                if defs is None:
+                    raise _syntax_error(text, k, f"shared name {ref!r} outside a substitution file")
+                if ref not in defs:
+                    raise _syntax_error(text, k, f"undefined name {ref!r}")
+                parts.append(defs[ref])
+                want_atom = False
             else:
                 raise _syntax_error(text, k, f"unexpected token {op!r}")
         elif op == "&":
@@ -389,9 +401,9 @@ def parse_type(text: str) -> Type:
             sources, parts = stack.pop()
             parts.append(t)
         elif stack:
-            raise _syntax_error(text, k, f"expected ')', found {op or name!r}")
+            raise _syntax_error(text, k, f"expected ')', found {op or name or ref!r}")
         else:
-            raise _syntax_error(text, k, f"trailing input {op or name!r}")
+            raise _syntax_error(text, k, f"trailing input {op or name or ref!r}")
     end = len(tokens)
     if quoted:
         raise _syntax_error(text, end, "expected 'ident', found ''")
@@ -424,3 +436,74 @@ def print_type(t: Type) -> str:
             s = f"({s})"
         parts.append(s)
     return " & ".join(parts)
+
+
+def _print_named(t: Type, names: Mapping[Type, str]) -> str:
+    """``print_type(t)``, except that a subterm with a name in ``names``
+    prints as the name.  Walks an explicit stack of nodes and text;
+    ``print_type`` stays recursive, which is faster on the small types
+    rank-1 sorts by their text."""
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):
+            out.append(u)
+        elif u in names:
+            out.append(names[u])
+        elif isinstance(u, Arrow):
+            stack += (u.target, " -> ")
+            src = u.source
+            if isinstance(src, (Arrow, Inter)) and src not in names:
+                stack += (")", src, "(")
+            else:
+                stack.append(src)
+        elif isinstance(u, Inter):
+            items: list = []
+            for c in u.components:
+                if items:
+                    items.append(" & ")
+                if isinstance(c, Arrow) and c not in names:
+                    items += ("(", c, ")")
+                else:
+                    items.append(c)
+            stack += reversed(items)
+        else:
+            out.append(print_type(u))
+    return "".join(out)
+
+
+def print_shared(roots: Sequence[Type]) -> tuple[list[str], list[str]]:
+    """Print the graph of ``roots`` once per shared node.
+
+    An arrow or intersection with two or more parents (a root counts as
+    one) is named ``$k`` by a definition ``$k := type``.  Returns the
+    definitions, children first, and the text of each root.  Every other
+    node prints inline as ``print_type`` prints it, so ``parse_type`` with
+    the definitions in scope reads each root back as the same node."""
+    parents: dict[Type, int] = {}
+    order: list[Type] = []  # arrows and intersections, children first
+    for root in roots:
+        stack = [(root, False)]
+        while stack:
+            u, done = stack.pop()
+            if done:
+                order.append(u)
+                continue
+            seen = u in parents
+            parents[u] = parents.get(u, 0) + 1
+            if seen:
+                continue
+            if isinstance(u, Arrow):
+                stack += ((u, True), (u.target, False), (u.source, False))
+            elif isinstance(u, Inter):
+                stack.append((u, True))
+                stack += ((c, False) for c in reversed(u.components))
+    names: dict[Type, str] = {}
+    defs: list[str] = []
+    for u in order:
+        if parents[u] > 1:
+            text = _print_named(u, names)
+            names[u] = f"${len(defs) + 1}"
+            defs.append(f"{names[u]} := {text}")
+    return defs, [_print_named(r, names) for r in roots]

@@ -1,11 +1,12 @@
 """End-to-end checks of the command-line front end via run(argv)."""
 
+import os
 import shlex
 from pathlib import Path
 
 import pytest
 
-from itu import format_tiling, parse_substitution, parse_type, verify
+from itu import format_substitution, format_tiling, parse_substitution, parse_type, verify
 from itu import parse_constraints
 from itu.cli import run
 
@@ -73,9 +74,7 @@ class TestMatch:
 
 
 # a small winning system keeps the serialized substitutions tiny; the
-# big golden system's substitution prints in the hundreds of megabytes
-# because the chain variables inline alpha repeatedly, and is exercised
-# in memory by the reduction tests instead
+# big golden system runs through the CLI in TestGoldenPipeline
 @pytest.fixture
 def tiny_winner():
     from itu import make_system
@@ -158,6 +157,7 @@ class TestGamePipeline:
         "text, message",
         [
             ("tiles: a\nbottom: a\ntop: a\nn:\n", "'n:' line has no value"),
+            ("tiles: a\nbottom: a\ntop: a\nn: 2 7\n", "'n:' line has more than one value: 2 7"),
             ("tiles: a\nh: a a\nv: a a\nbottom:\ntop:\nn: 0\n", "n must be positive"),
         ],
     )
@@ -165,6 +165,66 @@ class TestGamePipeline:
         tiling = write(tmp_path / "t.txt", text)
         assert run(["solve-game", tiling]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_play_with_a_non_solution_is_a_no(self, tmp_path, capsys):
+        # the README's n=2 winner with every variable omega: no extraction
+        # case applies, so the substitution does not solve CT
+        tiling = write(tmp_path / "t.txt", README_FILES["spiral.tiling"])
+        sub = write(tmp_path / "s.txt", "'alpha := omega\n'beta_a := omega\n'beta_b := omega\n")
+        assert run(["play", tiling, sub]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("no: the substitution does not solve CT: ")
+        assert out.err.count("\n") == 1
+
+
+class TestSharedNames:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("'al := $1\n", "undefined name '$1'"),
+            ("$1 := a\n$1 := a & (a -> a)\n'al := $1\n", "'$1' is defined twice"),
+            ("'al := $1\n$1 := a & (a -> a)\n", "undefined name '$1'"),
+        ],
+    )
+    def test_bad_substitution_file(self, tmp_path, capsys, text, message):
+        cs = write(tmp_path / "cs.txt", "'al <= 'al -> a\n")
+        sub = write(tmp_path / "s.txt", text)
+        assert run(["verify", cs, sub]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_shared_file_verifies(self, tmp_path, capsys):
+        cs = write(tmp_path / "cs.txt", "'al <= 'al -> a\n")
+        sub = write(tmp_path / "s.txt", "$1 := a -> a\n'al := a & $1\n")
+        assert run(["verify", cs, sub]) == 0
+        assert capsys.readouterr().out == "yes\n"
+
+    def test_name_in_a_constraint_file(self, tmp_path, capsys):
+        cs = write(tmp_path / "cs.txt", "'al <= $1\n")
+        sub = write(tmp_path / "s.txt", "'al := a\n")
+        assert run(["verify", cs, sub]) == 2
+        assert "shared name '$1' outside a substitution file" in capsys.readouterr().err
+
+    def test_name_on_the_command_line(self, capsys):
+        assert run(["subtype", "$1", "a"]) == 2
+        assert "shared name '$1' outside a substitution file" in capsys.readouterr().err
+
+
+class TestGoldenPipeline:
+    def test_omega_free_golden_through_files(self, tmp_path, spiral_winner, capsys):
+        # the n=5 golden's CT' substitution: alpha has 65,535 components,
+        # and written as a tree the chain variables would repeat it 62 times
+        tiling = write(tmp_path / "t.txt", format_tiling(spiral_winner))
+        strat, sub, cs = (str(tmp_path / name) for name in ("f.txt", "s.txt", "cs.txt"))
+        assert run(["solve-game", tiling, "-o", strat]) == 0
+        argv = ["compile-strategy", tiling, strat, "--variant", "ct-prime", "--override", "-o", sub]
+        assert run(argv) == 0
+        assert os.path.getsize(sub) <= 5 * 10**6
+        assert run(["reduce", tiling, "--variant", "ct-prime", "-o", cs]) == 0
+        capsys.readouterr()
+        assert run(["verify", cs, sub]) == 0
+        assert capsys.readouterr().out == "yes\n"
 
 
 class TestRank1:
@@ -209,6 +269,12 @@ README_FILES = {
     "s.txt": "'al := a & (a -> a)\n",
     "formula.cnf": "p cnf 2 2\n1 2 2 0\n-1 2 2 0\n",
 }
+
+
+def test_readme_shared_substitution_example():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = text.split("name shared subterms", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    assert format_substitution(parse_substitution(example), shared=True) == example
 
 
 def test_readme_cli_block_matches_parser(tmp_path, monkeypatch, capsys):

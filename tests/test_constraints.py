@@ -1,5 +1,8 @@
 """Constraint systems, substitutions, verification, interreductions."""
 
+import re
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +11,7 @@ from itu import (
     Arrow,
     Inter,
     Substitution,
+    TypeSyntaxError,
     Var,
     apply,
     arrow,
@@ -229,6 +233,71 @@ class TestSerialization:
         s = parse_substitution("'x := a & (a -> a)\n")
         assert s.get("x") is S("a & (a -> a)")
         assert parse_substitution(format_substitution(s)).mapping == s.mapping
+
+    def test_shared_form_names_nodes_with_two_parents(self):
+        # a -> b has three parents: x's root, y's source and a component
+        # of z; c -> d has one (the root of w) and is printed inline
+        ab = S("a -> b")
+        s = Substitution(
+            {"x": ab, "y": arrow(ab, const("c")), "z": inter([ab, const("c")]), "w": S("c -> d")}
+        )
+        text = format_substitution(s, shared=True)
+        assert text == (
+            "$1 := a -> b\n'w := c -> d\n'x := $1\n'y := $1 -> c\n'z := c & $1\n"
+        )
+        assert parse_substitution(text) == s
+
+    def test_shared_form_without_sharing_is_the_plain_form(self):
+        s = parse_substitution("'x := a & (a -> a)\n'y := b -> b\n")
+        assert format_substitution(s, shared=True) == format_substitution(s)
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_shared_and_plain_text_parse_to_the_same_images(self, seed):
+        gen = TypeGen(seed)
+        p, q = gen.type(3), gen.type(3)
+        s = Substitution(
+            {
+                "x": p,
+                "y": arrow(p, q),
+                "z": inter([q, arrow(q, p), gen.type(2)]),
+                "w": gen.type(4),
+            }
+        )
+        shared = format_substitution(s, shared=True)
+        plain = parse_substitution(format_substitution(s)).mapping
+        got = parse_substitution(shared).mapping
+        assert got.keys() == s.mapping.keys()
+        for name, t in s.mapping.items():
+            assert got[name] is t and plain[name] is t
+        # a name is written only for a node with two or more parents, and
+        # each parent prints the name once
+        lines = shared.splitlines()
+        defined = [line.split(" := ")[0] for line in lines if line.startswith("$")]
+        uses = Counter(re.findall(r"\$[0-9]+", "".join(line.split(" := ")[1] for line in lines)))
+        assert all(uses[name] >= 2 for name in defined)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("'x := $1\n", "undefined name '$1'"),
+            ("'x := $1\n$1 := a -> a\n", "undefined name '$1'"),
+            ("$1 := a -> $1\n", "undefined name '$1'"),
+            ("$1 := a -> a\n$1 := b -> b\n", "line 2: '$1' is defined twice"),
+            ("$x := a -> a\n", "line 1: expected 'name or $k before ':=', found '$x'"),
+        ],
+    )
+    def test_shared_name_errors(self, text, message):
+        with pytest.raises(ValueError) as e:
+            parse_substitution(text)
+        assert str(e.value).startswith(message)
+
+    def test_shared_names_only_in_substitution_files(self):
+        with pytest.raises(TypeSyntaxError) as e:
+            parse_type("a -> $1")
+        assert str(e.value) == "shared name '$1' outside a substitution file (at position 5)"
+        with pytest.raises(TypeSyntaxError):
+            parse_constraints("$1 <= a\n")
 
 
 class TestFreshVars:

@@ -25,6 +25,7 @@ from itu import (
     format_substitution,
     game_values,
     make_system,
+    parse_substitution,
     print_type,
     replay_strategy,
     solve_spiral_game,
@@ -206,6 +207,19 @@ class TestDeskScaleEquivalence:
             out = extract_play(t, s, lambda w: rng.choice(t.tiles))
             assert out.claim
         assert winners == 1538
+
+    def test_shared_substitution_files(self):
+        # the CT' substitutions of every desk-scale winner, written with
+        # shared names and plainly, read back as the same interned images
+        for t in desk_systems():
+            f = solve_spiral_game(t)
+            if f is None:
+                continue
+            s = extend_ct_prime(t, compile_strategy(t, f, override=True))
+            shared = parse_substitution(format_substitution(s, shared=True)).mapping
+            plain = parse_substitution(format_substitution(s)).mapping
+            for name, image in s.mapping.items():
+                assert shared[name] is image and plain[name] is image, (t, name)
 
     def test_losers_do_not_verify_compiled_shape(self):
         # for losing systems no strategy exists, and the all-omega guess
