@@ -135,6 +135,14 @@ def _cmd_play(args) -> int:
     return 0
 
 
+def _positive(text: str) -> int:
+    # a budget below 1 admits no set element, so every answer would be a false "no"
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _cmd_rank1(args) -> int:
     with open(args.constraints) as fh:
         cs = parse_constraints(fh.read())
@@ -223,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("rank1")
     sp.add_argument("constraints")
-    sp.add_argument("--budget-card", type=int, default=3)
-    sp.add_argument("--budget-depth", type=int, default=6)
+    sp.add_argument("--budget-card", type=_positive, default=3)
+    sp.add_argument("--budget-depth", type=_positive, default=6)
     sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(fn=_cmd_rank1)
 

@@ -3,15 +3,16 @@
 Pipeline: a set of subtyping constraints is transformed, through a
 15-rule nondeterministic rewrite system, into systems of set constraints
 over finite sets of simple types (no intersections, no omega, no
-variables inside elements).  A bounded repair-based solver searches for
-finite-set assignments; assignments convert back to substitutions whose
-images are intersections of simple types, and every candidate is checked
-against the original constraints before being returned.
+variables inside elements).  A bounded repair-based solver searches each
+system once for finite-set assignments; assignments convert back to
+substitutions whose images are intersections of simple types, and every
+candidate is checked against the original constraints before being
+returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterator, Sequence
 
@@ -24,7 +25,6 @@ from .types import (
     Var,
     arrow,
     arrows,
-    components,
     const,
     inter,
     is_atom,
@@ -33,12 +33,10 @@ from .types import (
     path_split,
     print_type,
     type_vars,
-    var,
 )
 from .subtyping import subtype
 from .constraints import (
     Constraint,
-    ConstraintSet,
     FreshVars,
     LEQ,
     Substitution,
@@ -79,19 +77,245 @@ def deep_organize(t: Type) -> Type:
 
 # ---------------------------------------------------------------------------
 # set constraint systems
+#
+# Each expression and atom kind states its set variables (vars), its text,
+# and the simple types it seeds the solver's pool with (seeds).  An
+# expression's match(phi) lists the memberships, as (element, variable)
+# pairs, that put phi in its denotation, or is None if phi's shape cannot
+# match.  An atom's repair(s) is None when it holds in the search state s,
+# else (options, inventive): each option is a list of (variable, element)
+# additions applied together, and no options means the state is dead.  A
+# repair is inventive when it invents an arrow partner or draws from the
+# pool: then its options need not cover every way to satisfy the atom,
+# since the needed element may only exist after other repairs.
 
-# atoms: ("eqs", x, (phis,))    x = {phi1, ..., phik}
-#        ("mem", phi, x)        {phi} <= x
-#        ("sub", x, y)          x <= y
-#        ("union", x, (ys,))    x = y1 | ... | yk
-#        ("src", x, y)          x = src(y)
-#        ("tgt", x, y)          x = tgt(y)
-#        ("sube", x, expr)      x <= expr
-#        ("card1", x)           card x = 1
-# expressions: ("v", name) | ("k", const name) | ("arr", (args,), target)
 
-Atom = tuple
-Expr = tuple
+class _Part:
+    """Expressions and atoms: by default one set variable, x, and no seeds."""
+
+    def vars(self) -> tuple[str, ...]:
+        return (self.x,)
+
+    def seeds(self) -> tuple[Type, ...]:
+        return ()
+
+
+@dataclass(frozen=True)
+class V(_Part):
+    """A set variable."""
+
+    name: str
+
+    def vars(self) -> tuple[str, ...]:
+        return (self.name,)
+
+    def text(self) -> str:
+        return self.name
+
+    def match(self, phi: Type) -> list[tuple[Type, str]] | None:
+        return [(phi, self.name)]
+
+
+@dataclass(frozen=True)
+class K(_Part):
+    """A constant, denoting {k}."""
+
+    name: str
+
+    def vars(self) -> tuple[str, ...]:
+        return ()
+
+    def text(self) -> str:
+        return self.name
+
+    def seeds(self) -> tuple[Type, ...]:
+        return (const(self.name),)
+
+    def match(self, phi: Type) -> list[tuple[Type, str]] | None:
+        return [] if phi is const(self.name) else None
+
+
+@dataclass(frozen=True)
+class Arr(_Part):
+    """args -> target: the arrows whose successive sources lie in the
+    denotations of args and whose final target lies in target's."""
+
+    args: tuple[Expr, ...]
+    target: Expr
+
+    def vars(self) -> tuple[str, ...]:
+        return tuple(v for e in (*self.args, self.target) for v in e.vars())
+
+    def text(self) -> str:
+        parts = [e.text() for e in (*self.args, self.target)]
+        return " -> ".join(f"({p})" if " -> " in p else p for p in parts)
+
+    def seeds(self) -> tuple[Type, ...]:
+        return tuple(t for e in (*self.args, self.target) for t in e.seeds())
+
+    def match(self, phi: Type) -> list[tuple[Type, str]] | None:
+        need = []
+        for e in self.args:
+            if not isinstance(phi, Arrow):
+                return None
+            got = e.match(phi.source)
+            if got is None:
+                return None
+            need += got
+            phi = phi.target
+        got = self.target.match(phi)
+        return None if got is None else need + got
+
+
+Expr = V | K | Arr
+
+
+@dataclass(frozen=True)
+class Eqs(_Part):
+    """x = {phi1, ..., phik}; the upper bound is enforced when adding."""
+
+    x: str
+    phis: tuple[Type, ...]
+
+    def text(self) -> str:
+        return f"{self.x} = {{{', '.join(print_type(phi) for phi in self.phis)}}}"
+
+    def seeds(self) -> tuple[Type, ...]:
+        return self.phis
+
+    def repair(self, s: _Search):
+        missing = s.frozen[self.x] - s.sets[self.x]
+        if missing:
+            return [[(self.x, phi)] for phi in missing], False
+        return None
+
+
+@dataclass(frozen=True)
+class Mem(_Part):
+    """{phi} <= x"""
+
+    phi: Type
+    x: str
+
+    def text(self) -> str:
+        return f"{{{print_type(self.phi)}}} <= {self.x}"
+
+    def seeds(self) -> tuple[Type, ...]:
+        return (self.phi,)
+
+    def repair(self, s: _Search):
+        if self.phi in s.sets[self.x]:
+            return None
+        return [[(self.x, self.phi)]], False
+
+
+@dataclass(frozen=True)
+class Union(_Part):
+    """x = y1 | ... | yk"""
+
+    x: str
+    ys: tuple[str, ...]
+
+    def vars(self) -> tuple[str, ...]:
+        return (self.x, *self.ys)
+
+    def text(self) -> str:
+        return f"{self.x} = {' | '.join(self.ys)}"
+
+    def repair(self, s: _Search):
+        joined = set().union(*(s.sets[y] for y in self.ys))
+        under = joined - s.sets[self.x]
+        if under:
+            return [[(self.x, min(under, key=s.key))]], False
+        over = s.sets[self.x] - joined
+        if not over:
+            return None
+        phi = min(over, key=print_type)
+        return [[(y, phi)] for y in self.ys], False
+
+
+@dataclass(frozen=True)
+class Proj(_Part):
+    """x = src(y) or x = tgt(y), as op says: the sources (targets) of the
+    arrows in y."""
+
+    op: str
+    x: str
+    y: str
+
+    def vars(self) -> tuple[str, ...]:
+        return (self.x, self.y)
+
+    def text(self) -> str:
+        return f"{self.x} = {self.op}({self.y})"
+
+    def repair(self, s: _Search):
+        src = self.op == "src"
+        proj = {e.source if src else e.target for e in s.sets[self.y] if isinstance(e, Arrow)}
+        under = proj - s.sets[self.x]
+        if under:
+            return [[(self.x, min(under, key=s.key))]], False
+        over = s.sets[self.x] - proj
+        if not over:
+            return None
+        # invent an arrow in y: its other side comes from y's pinned other
+        # projection if there is one, else from the pool
+        phi = min(over, key=s.key)
+        partners = s.pins.get(("tgt" if src else "src", self.y))
+        if partners is None:
+            partners = s.candidates()
+        return [[(self.y, arrow(phi, p) if src else arrow(p, phi))] for p in partners], True
+
+
+@dataclass(frozen=True)
+class Sub(_Part):
+    """x <= expr (x <= y when expr is a variable)"""
+
+    x: str
+    e: Expr
+
+    def vars(self) -> tuple[str, ...]:
+        return (self.x, *self.e.vars())
+
+    def text(self) -> str:
+        return f"{self.x} <= {self.e.text()}"
+
+    def seeds(self) -> tuple[Type, ...]:
+        return self.e.seeds()
+
+    def repair(self, s: _Search):
+        out = {}
+        for phi in s.sets[self.x]:
+            need = self.e.match(phi)
+            if need is None or any(p not in s.sets[v] for p, v in need):
+                out[phi] = need
+        if not out:
+            return None
+        need = out[min(out, key=s.key)]
+        if need is None:
+            return [], False
+        return [[(v, p) for p, v in need if p not in s.sets[v]]], False
+
+
+@dataclass(frozen=True)
+class Card1(_Part):
+    """card x = 1"""
+
+    x: str
+
+    def text(self) -> str:
+        return f"card {self.x} = 1"
+
+    def repair(self, s: _Search):
+        n = len(s.sets[self.x])
+        if n == 1:
+            return None
+        if n > 1:
+            return [], False  # additions cannot shrink a set
+        return [[(self.x, phi)] for phi in s.candidates()], True
+
+
+Atom = Eqs | Mem | Union | Proj | Sub | Card1
 
 
 @dataclass(frozen=True)
@@ -103,35 +327,9 @@ class SetConstraintSystem:
     def __post_init__(self):
         declared = set(self.variables)
         for a in self.atoms:
-            for v in _atom_vars(a):
+            for v in a.vars():
                 if v not in declared:
                     raise ValueError(f"undeclared set variable {v!r}")
-
-
-def _expr_vars(e: Expr) -> Iterator[str]:
-    if e[0] == "v":
-        yield e[1]
-    elif e[0] == "arr":
-        for a in e[1]:
-            yield from _expr_vars(a)
-        yield from _expr_vars(e[2])
-
-
-def _atom_vars(a: Atom) -> Iterator[str]:
-    kind = a[0]
-    if kind in ("eqs", "card1"):
-        yield a[1]
-    elif kind == "mem":
-        yield a[2]
-    elif kind in ("sub", "src", "tgt"):
-        yield a[1]
-        yield a[2]
-    elif kind == "union":
-        yield a[1]
-        yield from a[2]
-    elif kind == "sube":
-        yield a[1]
-        yield from _expr_vars(a[2])
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +390,7 @@ def _run_rules(
         if steps > max_steps:
             raise RuntimeError("rank1_transform exceeded its step limit")
         if not cl:
-            decl = list(declared)
-            seen = set(decl)
-            for a in atoms:
-                for v in _atom_vars(a):
-                    if v not in seen:
-                        seen.add(v)
-                        decl.append(v)
+            decl = dict.fromkeys([*declared, *(v for a in atoms for v in a.vars())])
             yield SetConstraintSystem(tuple(decl), atoms, omega_vars)
             return
         try:
@@ -278,11 +470,11 @@ def _try_rule(rule: int, c: Constraint, gen: FreshVars):
     if rule == 1:
         return [((), ())]
     if rule == 2:
-        return [((), (("eqs", t.name, (s,)),))]
+        return [((), (Eqs(t.name, (s,)),))]
     if rule == 3:
-        return [((), (("mem", t, s.name),))]
+        return [((), (Mem(t, s.name),))]
     if rule == 4:
-        return [((), (("sub", t.name, s.name),))]
+        return [((), (Sub(t.name, V(s.name)),))]
     if rule in (5, 7):
         # rule 5: rule 1 already removed the case t in T-omega
         raise _Abort
@@ -299,9 +491,7 @@ def _try_rule(rule: int, c: Constraint, gen: FreshVars):
             new = tuple(
                 leq(p, arrows(args, a)) for p, a in zip(chosen, fresh)
             )
-            outcomes.append(
-                (new, (("union", head.name, tuple(a.name for a in fresh)),))
-            )
+            outcomes.append((new, (Union(head.name, tuple(a.name for a in fresh)),)))
         return outcomes
     if rule == 10:
         return [((leq(t.source, s.source), leq(s.target, t.target)), ())]
@@ -309,15 +499,15 @@ def _try_rule(rule: int, c: Constraint, gen: FreshVars):
         b, g, d = gen.next(), gen.next(), gen.next()
         new = (leq(t.source, b), leq(g, t.target))
         atoms = (
-            ("sub", d.name, s.name),
-            ("src", b.name, d.name),
-            ("tgt", g.name, d.name),
+            Sub(d.name, V(s.name)),
+            Proj("src", b.name, d.name),
+            Proj("tgt", g.name, d.name),
         )
         return [(new, atoms)]
     src_t = s.source
     if rule == 12:
         b, g = gen.next(), gen.next()
-        atoms = (("sube", t.name, ("arr", (("v", g.name),), ("v", b.name))),)
+        atoms = (Sub(t.name, Arr((V(g.name),), V(b.name))),)
         return [((leq(s.target, b),), atoms)]
     if rule == 13:
         return [
@@ -329,11 +519,12 @@ def _try_rule(rule: int, c: Constraint, gen: FreshVars):
     bs = [gen.next() for _ in args]
     g = gen.next()
     new = tuple(leq(a, b) for a, b in zip(args, bs)) + (leq(s.target, g),)
-    kind = "k" if rule == 14 else "v"
-    inner = ("arr", tuple(("v", b.name) for b in bs), (kind, head.name)) if bs else (kind, head.name)
-    atoms = (("sube", t.name, ("arr", (inner,), ("v", g.name))),)
+    inner = K(head.name) if rule == 14 else V(head.name)
+    if bs:
+        inner = Arr(tuple(V(b.name) for b in bs), inner)
+    atoms = (Sub(t.name, Arr((inner,), V(g.name))),)
     if rule == 15:
-        atoms += (("card1", head.name),)
+        atoms += (Card1(head.name),)
     return [(new, atoms)]
 
 
@@ -341,325 +532,151 @@ def _try_rule(rule: int, c: Constraint, gen: FreshVars):
 # the finite-set solver
 
 
-def _expr_denote(e: Expr, a: dict[str, frozenset[Type]]) -> frozenset[Type]:
-    if e[0] == "v":
-        return a[e[1]]
-    if e[0] == "k":
-        return frozenset([const(e[1])])
-    sets = [_expr_denote(x, a) for x in e[1]]
-    tgt_set = _expr_denote(e[2], a)
-    out = set()
-
-    def build(i: int, args: list[Type]):
-        if i == len(sets):
-            for g in tgt_set:
-                out.add(arrows(args, g))
-            return
-        for x in sets[i]:
-            build(i + 1, args + [x])
-
-    build(0, [])
-    return frozenset(out)
-
-
-def _match_expr(phi: Type, e: Expr):
-    """Membership requirements phi in denote(e) as a list of (element, var)
-    additions, or None if the shapes cannot match."""
-    if e[0] == "v":
-        return [(phi, e[1])]
-    if e[0] == "k":
-        return [] if phi is const(e[1]) else None
-    args, tgt_e = e[1], e[2]
-    need = []
-    cur = phi
-    for sub_e in args:
-        if not isinstance(cur, Arrow):
-            return None
-        got = _match_expr(cur.source, sub_e)
-        if got is None:
-            return None
-        need.extend(got)
-        cur = cur.target
-    got = _match_expr(cur, tgt_e)
-    if got is None:
-        return None
-    return need + got
-
-
-@dataclass
-class _SolveState:
-    sets: dict[str, set[Type]]
-    frozen: dict[str, frozenset[Type]]  # eq1-pinned variables
-    card1: set[str]
-
-
 class SearchLimit(Exception):
     """The repair search hit its node cap before finishing."""
+
+
+class _Search:
+    """The repair search over one system: the current sets, the sets its
+    Eqs atoms pin, its card-1 variables, the pinned projection partners and
+    the candidate pool."""
+
+    def __init__(
+        self,
+        scs: SetConstraintSystem,
+        budget: tuple[int, int],
+        max_nodes: int | None,
+        frozen: dict[str, frozenset[Type]],
+    ):
+        self.atoms = scs.atoms
+        self.max_card, self.max_depth = budget
+        self.max_nodes = max_nodes
+        self.frozen = frozen
+        self.sets: dict[str, set[Type]] = {v: set(frozen.get(v, ())) for v in scs.variables}
+        self.card1 = {a.x for a in scs.atoms if isinstance(a, Card1)}
+        # when src(y) (resp. tgt(y)) is pinned, any arrow invented for y
+        # takes its source (target) from that pinned set
+        self.pins = {
+            (a.op, a.y): frozen[a.x]
+            for a in scs.atoms
+            if isinstance(a, Proj) and a.x in frozen
+        }
+        self._keys: dict[Type, tuple] = {}
+        # the pool starts as every subterm of every simple type the system
+        # mentions and absorbs every element ever added to a set, so it is
+        # the full candidate universe; _sorted is it small-first, or None
+        self.pool: set[Type] = set()
+        self._sorted: list[Type] | None = None
+        for a in scs.atoms:
+            for t in a.seeds():
+                self.pool_add(t)
+        if not self.pool:
+            self.pool.add(const("a"))
+        self.seen: set[frozenset] = set()
+        self.nodes = 0
+
+    def key(self, t: Type) -> tuple:
+        k = self._keys.get(t)
+        if k is None:
+            k = self._keys[t] = (simple_depth(t), print_type(t))
+        return k
+
+    def pool_add(self, t: Type) -> None:
+        if t in self.pool:
+            return
+        self.pool.add(t)
+        self._sorted = None
+        if isinstance(t, Arrow):
+            self.pool_add(t.source)
+            self.pool_add(t.target)
+
+    def candidates(self) -> list[Type]:
+        if self._sorted is None:
+            self._sorted = sorted(self.pool, key=self.key)
+        return self._sorted
+
+    def ok_add(self, v: str, phi: Type) -> bool:
+        if simple_depth(phi) > self.max_depth:
+            return False
+        if v in self.frozen and phi not in self.frozen[v]:
+            return False
+        got = self.sets[v]
+        if phi in got:
+            return True
+        return len(got) < self.max_card and not (v in self.card1 and got)
+
+    def violation(self) -> list[list[tuple[str, Type]]] | None:
+        """None if every atom holds, else the repair options to branch over,
+        each kept only if ok_add allows all its additions.
+
+        Fail-first over the exhaustive repairs (their options cover every
+        way the atom can ever be satisfied, so a forced single option acts
+        as propagation and no option kills the state); the options of
+        inventive repairs from all violated atoms are pooled and tried only
+        when nothing exhaustive is left."""
+        best = None
+        inventive: list[list[list[tuple[str, Type]]]] = []
+        for a in self.atoms:
+            got = a.repair(self)
+            if got is None:
+                continue
+            opts, inv = got
+            opts = [adds for adds in opts if all(self.ok_add(v, p) for v, p in adds)]
+            if inv:
+                inventive.append(opts)
+            elif len(opts) <= 1:
+                return opts
+            elif best is None or len(opts) < len(best):
+                best = opts
+        if best is not None or not inventive:
+            return best  # None here: no atom is violated
+        return min((opts for opts in inventive if opts), key=len, default=[])
+
+    def solutions(self) -> Iterator[dict[str, frozenset[Type]]]:
+        state = frozenset((v, p) for v, got in self.sets.items() for p in got)
+        if state in self.seen:
+            return
+        self.seen.add(state)
+        self.nodes += 1
+        if self.max_nodes is not None and self.nodes > self.max_nodes:
+            raise SearchLimit
+        options = self.violation()
+        if options is None:
+            yield {v: frozenset(got) for v, got in self.sets.items()}
+            return
+        for adds in options:
+            applied = [(v, p) for v, p in adds if p not in self.sets[v]]
+            if not applied:
+                continue
+            for v, p in applied:
+                self.sets[v].add(p)
+                self.pool_add(p)
+            yield from self.solutions()
+            for v, p in applied:
+                self.sets[v].discard(p)
 
 
 def iter_set_solutions(
     scs: SetConstraintSystem,
     budget: tuple[int, int] = (3, 6),
     max_nodes: int | None = None,
-    extra_pool: set[Type] | None = None,
 ) -> Iterator[dict[str, frozenset[Type]]]:
     """Enumerate satisfying finite-set assignments within the budget
     (max cardinality per variable, max simple-type depth per element).
 
-    Repair search: start from the pinned/seeded sets, find the first
-    violated atom, apply every bounded repair, recurse.  All additions are
+    Repair search: start from the pinned sets, find the first violated
+    atom, apply every bounded repair, recurse.  All additions are
     monotone, so the search terminates; states reached by several repair
     orders are explored once.  With max_nodes set, raises SearchLimit if
     the cap is hit before the search space is exhausted.
-
-    extra_pool, when given, both enriches the candidate pool and collects
-    every element the search constructs, so repeated runs see deeper
-    candidates (deep arrow partners are built stepwise across runs).
     """
-    max_card, max_depth = budget
     frozen: dict[str, frozenset[Type]] = {}
-    card1: set[str] = set()
     for a in scs.atoms:
-        if a[0] == "eqs":
-            pinned = frozenset(a[2])
-            if a[1] in frozen and frozen[a[1]] != pinned:
+        if isinstance(a, Eqs):
+            pinned = frozenset(a.phis)
+            if frozen.setdefault(a.x, pinned) != pinned:
                 return
-            frozen[a[1]] = pinned
-        elif a[0] == "card1":
-            card1.add(a[1])
-    sets: dict[str, set[Type]] = {v: set() for v in scs.variables}
-    for v, fs in frozen.items():
-        sets[v] = set(fs)
-
-    # pinned projection partners: when src(y) (resp. tgt(y)) is frozen,
-    # any invented arrow added to y must take its source (target) from
-    # that frozen set, so partner enumeration is cut down to it
-    src_pin: dict[str, frozenset[Type]] = {}
-    tgt_pin: dict[str, frozenset[Type]] = {}
-    for a in scs.atoms:
-        if a[0] == "src" and a[1] in frozen:
-            src_pin[a[2]] = frozen[a[1]]
-        elif a[0] == "tgt" and a[1] in frozen:
-            tgt_pin[a[2]] = frozen[a[1]]
-
-    # seed pool: every subterm of every simple type mentioned in the system
-    pool: set[Type] = set()
-
-    _key_cache: dict[Type, tuple] = {}
-
-    def _key(t: Type) -> tuple:
-        k = _key_cache.get(t)
-        if k is None:
-            k = _key_cache[t] = (simple_depth(t), print_type(t))
-        return k
-
-    _sorted_pool: list[Type] = []
-    _pool_dirty = [True]
-
-    def pool_add(t: Type):
-        if t in pool:
-            return
-        pool.add(t)
-        _pool_dirty[0] = True
-        if isinstance(t, Arrow):
-            pool_add(t.source)
-            pool_add(t.target)
-
-    for a in scs.atoms:
-        if a[0] == "eqs":
-            for phi in a[2]:
-                pool_add(phi)
-        elif a[0] == "mem":
-            pool_add(a[1])
-        else:
-            stack = [x for x in a[1:] if isinstance(x, tuple)]
-            while stack:
-                e = stack.pop()
-                if e and e[0] == "k":
-                    pool_add(const(e[1]))
-                elif e and e[0] == "arr":
-                    stack.extend(e[1])
-                    stack.append(e[2])
-                else:
-                    stack.extend(x for x in e if isinstance(x, tuple))
-    if extra_pool:
-        for t in extra_pool:
-            pool_add(t)
-    if not pool:
-        pool.add(const("a"))
-
-    def ok_add(v: str, phi: Type) -> bool:
-        if simple_depth(phi) > max_depth:
-            return False
-        if v in frozen and phi not in frozen[v]:
-            return False
-        if phi in sets[v]:
-            return True
-        if len(sets[v]) >= max_card:
-            return False
-        if v in card1 and len(sets[v]) >= 1:
-            return False
-        return True
-
-    # repair kinds that must invent an arrow partner or seed an element from
-    # the current candidate pool; committing to one such atom is not
-    # exhaustive (the needed partner may only exist after other repairs), so
-    # they are branched jointly and only when no exhaustive repair remains
-    def violation():
-        """None if every atom holds, else the list of repair options to
-        branch over; each option is a list of (var, element) additions
-        applied together.  An empty list means the state is dead.
-
-        Fail-first over the exhaustive repairs (their option lists cover
-        every way the atom can ever be satisfied, so forced single-option
-        repairs act as propagation and zero options kill the state);
-        inventive repairs from all violated atoms are pooled and tried
-        only when nothing exhaustive is left."""
-        best = None
-        inventive: list[list[list[tuple[str, Type]]]] = []
-        violated = False
-        for a, opts, inv in _violations():
-            violated = True
-            opts = [adds for adds in opts if all(ok_add(v, p) for v, p in adds)]
-            if inv:
-                inventive.append(opts)
-                continue
-            if len(opts) <= 1:
-                return opts
-            if best is None or len(opts) < len(best):
-                best = opts
-        if best is not None:
-            return best
-        if violated:
-            nonempty = [opts for opts in inventive if opts]
-            if not nonempty:
-                return []
-            return min(nonempty, key=len)
-        return None
-
-    def _violations():
-        for a in scs.atoms:
-            kind = a[0]
-            if kind == "eqs":
-                missing = frozen[a[1]] - sets[a[1]]
-                if missing:
-                    yield a, [[(a[1], phi)] for phi in missing], False
-                continue  # the upper bound is enforced when adding
-            if kind == "card1":
-                if len(sets[a[1]]) == 1:
-                    continue
-                if len(sets[a[1]]) > 1:
-                    yield a, [], False  # unrepairable: additions cannot shrink a set
-                    continue
-                yield a, [[(a[1], phi)] for phi in _candidates()], True
-                continue
-            if kind == "mem":
-                if a[1] in sets[a[2]]:
-                    continue
-                yield a, [[(a[2], a[1])]], False
-                continue
-            if kind == "sub":
-                missing = sets[a[1]] - sets[a[2]]
-                if not missing:
-                    continue
-                phi = min(missing, key=_key)
-                yield a, [[(a[2], phi)]], False
-                continue
-            if kind == "union":
-                x, ys = a[1], a[2]
-                under = set().union(*(sets[y] for y in ys)) - sets[x]
-                if under:
-                    phi = min(under, key=_key)
-                    yield a, [[(x, phi)]], False
-                    continue
-                over = sets[x] - set().union(*(sets[y] for y in ys))
-                if over:
-                    phi = min(over, key=print_type)
-                    yield a, [[(y, phi)] for y in ys], False
-                continue
-            if kind in ("src", "tgt"):
-                x, y = a[1], a[2]
-                proj = {
-                    (e.source if kind == "src" else e.target)
-                    for e in sets[y]
-                    if isinstance(e, Arrow)
-                }
-                under = proj - sets[x]
-                if under:
-                    phi = min(under, key=_key)
-                    yield a, [[(x, phi)]], False
-                    continue
-                over = sets[x] - proj
-                if over:
-                    phi = min(over, key=_key)
-                    partners = tgt_pin.get(y) if kind == "src" else src_pin.get(y)
-                    if partners is None:
-                        partners = _candidates()
-                    opts = []
-                    for other in partners:
-                        e = arrow(phi, other) if kind == "src" else arrow(other, phi)
-                        opts.append([(y, e)])
-                    yield a, opts, True
-                continue
-            if kind == "sube":
-                x, e = a[1], a[2]
-                den = _expr_denote(e, {v: frozenset(s) for v, s in sets.items()})
-                out = sets[x] - den
-                if not out:
-                    continue
-                phi = min(out, key=_key)
-                need = _match_expr(phi, e)
-                if need is None:
-                    yield a, [], False
-                    continue
-                adds = [(v, p) for p, v in need if p not in sets[v]]
-                if not adds:
-                    # component memberships hold yet the product misses phi:
-                    # impossible for these expression shapes
-                    yield a, [], False
-                    continue
-                yield a, [adds], False
-
-    def _candidates() -> list[Type]:
-        # the pool absorbs every element ever added to a set, so it is
-        # the full candidate universe; keep it sorted small-first
-        if _pool_dirty[0]:
-            _sorted_pool[:] = sorted(pool, key=_key)
-            _pool_dirty[0] = False
-        return _sorted_pool
-
-    seen_states: set[frozenset] = set()
-    nodes = 0
-
-    def rec() -> Iterator[dict[str, frozenset[Type]]]:
-        nonlocal nodes
-        state = frozenset((v, p) for v, s in sets.items() for p in s)
-        if state in seen_states:
-            return
-        seen_states.add(state)
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise SearchLimit
-        options = violation()
-        if options is None:
-            yield {v: frozenset(s) for v, s in sets.items()}
-            return
-        for adds in options:
-            if not all(ok_add(v, p) for v, p in adds):
-                continue
-            applied = [(v, p) for v, p in adds if p not in sets[v]]
-            if not applied:
-                continue
-            for v, p in applied:
-                sets[v].add(p)
-                pool_add(p)
-                if extra_pool is not None:
-                    extra_pool.add(p)
-            yield from rec()
-            for v, p in applied:
-                sets[v].discard(p)
-
-    yield from rec()
+    yield from _Search(scs, budget, max_nodes, frozen).solutions()
 
 
 def assignment_to_substitution(
@@ -678,54 +695,38 @@ def assignment_to_substitution(
     return Substitution(mapping)
 
 
+# each branch's search stops after this many nodes; solve_rank1 gives up
+# after this many candidate substitutions fail verification
+_NODE_CAP = 2_000
+_MAX_CANDIDATES = 10_000
+
+
 def solve_rank1(
     cs: Sequence[Constraint],
     budget: tuple[int, int] = (3, 6),
-    max_candidates: int = 10_000,
 ) -> Substitution | None:
-    """Compose the transformation and the finite-set solver; every
-    candidate substitution is re-verified against cs before being
-    returned, so the result is sound regardless of budget effects."""
+    """Compose the transformation and the finite-set solver.  The branches
+    are pulled one at a time, so an early solution leaves the rest of the
+    transform undone, and each is searched once; a search cut by the node
+    cap moves on to the next branch.  Every candidate substitution is
+    re-verified against cs before being returned, so the result is sound
+    regardless of budget effects."""
     cs = tuple(cs)
     original_vars: set[str] = set()
     for c in cs:
         original_vars |= type_vars(c.lhs) | type_vars(c.rhs)
     tried = 0
-    # the first round pulls the branches one at a time and records them,
-    # so a solution found early leaves the rest of the transform undone
-    branches: list[SetConstraintSystem] = []
-
-    def first_round() -> Iterator[SetConstraintSystem]:
-        for scs in rank1_transform(cs):
-            branches.append(scs)
-            yield scs
-
-    # candidate-pool growth rounds: a failed search still constructs
-    # elements (recorded in grown), and the next round offers them as
-    # arrow partners, so deep solution elements get built stepwise;
-    # stop at a pool fixpoint or when the node caps stop truncating
-    grown: set[Type] = set()
-    cap = 2_000
-    for round_no in range(8):
-        before = len(grown)
-        truncated = 0
-        for scs in first_round() if round_no == 0 else branches:
-            try:
-                for assignment in iter_set_solutions(
-                    scs, budget, max_nodes=cap, extra_pool=grown
-                ):
-                    sub = assignment_to_substitution(scs, assignment, original_vars)
-                    if verify(sub, cs):
-                        return sub
-                    tried += 1
-                    if tried >= max_candidates:
-                        return None
-            except SearchLimit:
-                truncated += 1
-        if len(grown) == before and not truncated:
-            return None
-        if len(grown) == before:
-            cap *= 4
+    for scs in rank1_transform(cs):
+        try:
+            for assignment in iter_set_solutions(scs, budget, max_nodes=_NODE_CAP):
+                sub = assignment_to_substitution(scs, assignment, original_vars)
+                if verify(sub, cs):
+                    return sub
+                tried += 1
+                if tried >= _MAX_CANDIDATES:
+                    return None
+        except SearchLimit:
+            continue
     return None
 
 
@@ -748,41 +749,16 @@ def find_arrow_index_set(comps: Sequence[Type], rhs: Arrow) -> tuple[int, ...] |
     return None
 
 
+
 # ---------------------------------------------------------------------------
 # text serialization (debugging and golden tests)
-
-
-def _format_expr(e: Expr) -> str:
-    if e[0] == "v":
-        return e[1]
-    if e[0] == "k":
-        return e[1]
-    parts = [_format_expr(x) for x in e[1]] + [_format_expr(e[2])]
-    parts = [f"({p})" if " -> " in p else p for p in parts]
-    return " -> ".join(parts)
 
 
 def format_set_system(scs: SetConstraintSystem) -> str:
     lines = [f"vars: {' '.join(scs.variables)}"]
     if scs.omega_vars:
         lines.append(f"omega: {' '.join(scs.omega_vars)}")
-    for a in scs.atoms:
-        kind = a[0]
-        if kind == "eqs":
-            body = ", ".join(print_type(phi) for phi in a[2])
-            lines.append(f"{a[1]} = {{{body}}}")
-        elif kind == "mem":
-            lines.append(f"{{{print_type(a[1])}}} <= {a[2]}")
-        elif kind == "sub":
-            lines.append(f"{a[1]} <= {a[2]}")
-        elif kind == "union":
-            lines.append(f"{a[1]} = {' | '.join(a[2])}")
-        elif kind in ("src", "tgt"):
-            lines.append(f"{a[1]} = {kind}({a[2]})")
-        elif kind == "sube":
-            lines.append(f"{a[1]} <= {_format_expr(a[2])}")
-        elif kind == "card1":
-            lines.append(f"card {a[1]} = 1")
+    lines += [a.text() for a in scs.atoms]
     return "\n".join(lines) + "\n"
 
 
@@ -791,13 +767,13 @@ def _parse_expr(text: str, declared: set[str]) -> Expr:
 
     def conv(u: Type) -> Expr:
         if is_atom(u):
-            return ("v", u.name) if u.name in declared else ("k", u.name)
+            return V(u.name) if u.name in declared else K(u.name)
         if isinstance(u, Arrow):
             args = []
             while isinstance(u, Arrow):
                 args.append(conv(u.source))
                 u = u.target
-            return ("arr", tuple(args), conv(u))
+            return Arr(tuple(args), conv(u))
         raise ValueError(f"bad expression {text!r}")
 
     return conv(t)
@@ -823,11 +799,11 @@ def parse_set_system(text: str) -> SetConstraintSystem:
             name, _, one = line[5:].partition("=")
             if one.strip() != "1":
                 raise ValueError(f"line {lineno}: only cardinality 1 is supported")
-            atoms.append(("card1", name.strip()))
+            atoms.append(Card1(name.strip()))
             continue
         if line.startswith("{"):
             phi, _, x = line.partition("<=")
-            atoms.append(("mem", parse_type(phi.strip().strip("{}")), x.strip()))
+            atoms.append(Mem(parse_type(phi.strip().strip("{}")), x.strip()))
             continue
         if "=" in line and "<=" not in line:
             x, _, body = line.partition("=")
@@ -836,16 +812,12 @@ def parse_set_system(text: str) -> SetConstraintSystem:
                 phis = tuple(
                     parse_type(p) for p in body.strip("{}").split(",") if p.strip()
                 )
-                atoms.append(("eqs", x, phis))
+                atoms.append(Eqs(x, phis))
             elif body.startswith("src(") or body.startswith("tgt("):
-                atoms.append((body[:3], x, body[4:-1].strip()))
+                atoms.append(Proj(body[:3], x, body[4:-1].strip()))
             else:
-                atoms.append(("union", x, tuple(y.strip() for y in body.split("|"))))
+                atoms.append(Union(x, tuple(y.strip() for y in body.split("|"))))
             continue
         x, _, body = line.partition("<=")
-        x, body = x.strip(), body.strip()
-        if body in declared:
-            atoms.append(("sub", x, body))
-        else:
-            atoms.append(("sube", x, _parse_expr(body, declared)))
+        atoms.append(Sub(x.strip(), _parse_expr(body.strip(), declared)))
     return SetConstraintSystem(tuple(variables), tuple(atoms), tuple(omega_vars))

@@ -240,6 +240,16 @@ class TestRank1:
         assert run(["rank1", cs]) == 1
         assert "none" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--budget-card", "0"), ("--budget-card", "-1"), ("--budget-depth", "0"),
+    ])
+    def test_non_positive_budget_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        # a solvable instance: a budget that admits nothing must not read as "no"
+        cs = write(tmp_path / "cs.txt", "'al <= 'al -> a\n")
+        assert run(["rank1", cs, flag, value]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "must be at least 1" in out.err
+
 
 class TestAxioms:
     def test_fuzz_run(self, capsys):

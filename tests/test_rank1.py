@@ -39,7 +39,7 @@ from itu import (
     verify,
 )
 from itu.gen import TypeGen
-from itu.rank1 import _NO_RULE, _classify, simple_depth
+from itu.rank1 import _NO_RULE, K, Proj, Sub, _classify, simple_depth
 
 S = parse_type
 
@@ -71,10 +71,10 @@ class TestTransform:
         # 'x <= 'x -> a must branch into a system using both projections
         systems = list(rank1_transform(parse_constraints("'x <= 'x -> a")))
         assert systems
-        kinds_seen = set()
+        ops_seen = set()
         for scs in systems:
-            kinds_seen |= {a[0] for a in scs.atoms}
-        assert {"src", "tgt"} <= kinds_seen
+            ops_seen |= {a.op for a in scs.atoms if isinstance(a, Proj)}
+        assert {"src", "tgt"} <= ops_seen
 
     def test_omega_choice_recorded(self):
         systems = list(rank1_transform(parse_constraints("omega <= 'x")))
@@ -164,6 +164,38 @@ def test_solve_rank1_pulls_branches_lazily(monkeypatch):
     s = solve_rank1(cs)
     assert s is not None and verify(s, cs)
     assert len(pulls) == 1
+
+
+def test_solve_rank1_searches_each_branch_once(monkeypatch, ex55_constraints):
+    # ex55 has no solution within budget (2, 4), so every branch is pulled;
+    # each must be searched exactly once, in the order it was pulled
+    branches, searches = [], []
+    transform, search = itu.rank1.rank1_transform, itu.rank1.iter_set_solutions
+
+    def counting_transform(cs, *args, **kwargs):
+        for scs in transform(cs, *args, **kwargs):
+            branches.append(scs)
+            yield scs
+
+    def counting_search(scs, *args, **kwargs):
+        searches.append(scs)
+        return search(scs, *args, **kwargs)
+
+    monkeypatch.setattr(itu.rank1, "rank1_transform", counting_transform)
+    monkeypatch.setattr(itu.rank1, "iter_set_solutions", counting_search)
+    assert solve_rank1(ex55_constraints, budget=(2, 4)) is None
+    assert len(branches) == 3034
+    assert len(searches) == len(branches)
+    assert all(got is want for got, want in zip(searches, branches))
+
+
+def test_every_pinned_branch_round_trips_through_text(ex55_constraints):
+    for name, cs in _pinned_inputs(ex55_constraints):
+        for scs in rank1_transform(cs):
+            again = parse_set_system(format_set_system(scs))
+            assert again.atoms == scs.atoms, name
+            assert again.omega_vars == scs.omega_vars, name
+            assert set(again.variables) == set(scs.variables), name
 
 
 def _head(t):
@@ -297,7 +329,7 @@ class TestSerialization:
     def test_undeclared_rhs_reads_as_constant(self):
         # a name not in vars: on the right of <= is a constant expression
         scs = parse_set_system("vars: x\nx <= y\n")
-        assert scs.atoms == (("sube", "x", ("k", "y")),)
+        assert scs.atoms == (Sub("x", K("y")),)
 
 
 class TestSolveRank1:
