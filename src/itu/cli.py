@@ -135,12 +135,17 @@ def _cmd_play(args) -> int:
     return 0
 
 
-def _positive(text: str) -> int:
-    # a budget below 1 admits no set element, so every answer would be a false "no"
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def check(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    check.__name__ = "int"  # argparse names it in "invalid int value"
+    return check
 
 
 def _cmd_rank1(args) -> int:
@@ -205,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve-game")
     sp.add_argument("tiling")
-    sp.add_argument("--horizon", type=int, default=0)
+    # 0 is no horizon; a negative one would silently mean the same
+    sp.add_argument("--horizon", type=_at_least(0), default=0)
     sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(fn=_cmd_solve_game)
 
@@ -231,22 +237,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("rank1")
     sp.add_argument("constraints")
-    sp.add_argument("--budget-card", type=_positive, default=3)
-    sp.add_argument("--budget-depth", type=_positive, default=6)
+    # a budget below 1 admits no set element, so every answer would be a false "no"
+    sp.add_argument("--budget-card", type=_at_least(1), default=3)
+    sp.add_argument("--budget-depth", type=_at_least(1), default=6)
     sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(fn=_cmd_rank1)
 
     sp = sub.add_parser("axioms")
-    sp.add_argument("--trials", type=int, default=1000)
+    # no trials would check nothing and still print "ok"
+    sp.add_argument("--trials", type=_at_least(1), default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=_cmd_axioms)
     return p
 
 
+# built on the first call to run, not at import; every option default is
+# immutable, so one parser serves every later call in the process
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

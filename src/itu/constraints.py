@@ -6,7 +6,9 @@ File formats:
   substitution file -- lines ``'name := TYPE``, and lines ``$k := TYPE``
                        (k a decimal number) that name a shared subterm:
                        later lines may write ``$k`` wherever an atom may
-                       stand.  A name is defined once, before it is used.
+                       stand.  A name is defined once, before it is used;
+                       a variable name is an identifier other than
+                       ``omega``, bound at most once.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .types import (
     arrow,
     arrows,
     inter,
+    is_identifier,
     parse_type,
     print_shared,
     print_type,
@@ -292,7 +295,14 @@ def parse_substitution(text: str) -> Substitution:
         name, body = line.split(":=", 1)
         name = name.strip()
         if name.startswith("'"):
-            mapping[name[1:]] = parse_type(body, defs)
+            v = name[1:]
+            if v == "omega":
+                raise ValueError(f"line {lineno}: 'omega' is reserved and cannot name a variable")
+            if not is_identifier(v):
+                raise ValueError(f"line {lineno}: expected a variable name after \"'\", found {v!r}")
+            if v in mapping:
+                raise ValueError(f"line {lineno}: {name!r} is bound twice")
+            mapping[v] = parse_type(body, defs)
         elif _SHARED_NAME.match(name):
             if name in defs:
                 raise ValueError(f"line {lineno}: {name!r} is defined twice")

@@ -230,6 +230,14 @@ def type_vars(t: Type) -> set[str]:
 # ---------------------------------------------------------------------------
 # omega collapse and organization
 
+def _same_or_inter(t: Inter, images: list[Type]) -> Type:
+    """The intersection of the images of t's components; t itself, with no
+    new sort, when each component is its own image."""
+    if all(x is c for x, c in zip(images, t.components)):
+        return t
+    return inter(images)
+
+
 def omega_collapse(t: Type) -> Type:
     """Replace every subterm equal to omega (the T^omega shapes) by omega."""
     c = t._collapsed
@@ -238,7 +246,7 @@ def omega_collapse(t: Type) -> Type:
             tg = omega_collapse(t.target)
             c = OMEGA if tg is OMEGA else arrow(omega_collapse(t.source), tg)
         elif isinstance(t, Inter):
-            c = inter(omega_collapse(x) for x in t.components)
+            c = _same_or_inter(t, [omega_collapse(x) for x in t.components])
         else:
             c = t
         t._collapsed = c
@@ -266,10 +274,12 @@ def organize(t: Type) -> Type:
         tg = organize(t.target)
         if tg is OMEGA:
             out = OMEGA
+        elif isinstance(tg, Inter):
+            out = inter(arrow(t.source, p) for p in tg.components)
         else:
-            out = inter(arrow(t.source, p) for p in components(tg))
+            out = arrow(t.source, tg)  # t itself when the target is a path
     elif isinstance(t, Inter):
-        out = inter(organize(c) for c in t.components)
+        out = _same_or_inter(t, [organize(c) for c in t.components])
     elif t is OMEGA:
         out = OMEGA
     else:
@@ -324,7 +334,14 @@ class TypeSyntaxError(ValueError):
 # A token is an operator, an identifier, a shared name ``$k``, or (fourth
 # group) a character that starts no token; whitespace only separates tokens
 # and matches nothing.
-_TOKEN = re.compile(r"(->|[(&)'])|([a-z_][a-z0-9_]*)|(\$[0-9]+)|([^ \t\r\n])")
+_IDENT = r"[a-z_][a-z0-9_]*"
+_TOKEN = re.compile(rf"(->|[(&)'])|({_IDENT})|(\$[0-9]+)|([^ \t\r\n])")
+
+
+def is_identifier(name: str) -> bool:
+    """True iff name is one identifier token, the form of every constant
+    and variable name (``omega`` is reserved for both)."""
+    return re.fullmatch(_IDENT, name) is not None
 
 
 def _meet(parts: list[Type]) -> Type:

@@ -8,6 +8,7 @@ import pytest
 
 from itu import format_substitution, format_tiling, parse_substitution, parse_type, verify
 from itu import parse_constraints
+from itu import cli
 from itu.cli import run
 
 
@@ -57,6 +58,23 @@ class TestVerify:
 
     def test_missing_file(self, tmp_path):
         assert run(["verify", str(tmp_path / "nope"), str(tmp_path / "nope")]) == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a second binding must not silently replace the first
+            ("'al := a & (a -> a)\n'al := a\n", "line 2: \"'al\" is bound twice"),
+            ("' := a\n", "line 1: expected a variable name after \"'\", found ''"),
+            ("'' := a\n", "line 1: expected a variable name after \"'\", found \"'\""),
+            ("'al y := a\n", "line 1: expected a variable name after \"'\", found 'al y'"),
+            ("'omega := a\n", "line 1: 'omega' is reserved and cannot name a variable"),
+        ],
+    )
+    def test_malformed_variable_name_is_an_input_error(self, tmp_path, capsys, text, message):
+        cs = write(tmp_path / "cs.txt", "'al <= 'al -> a\n")
+        sub = write(tmp_path / "s.txt", text)
+        assert run(["verify", cs, sub]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestMatch:
@@ -141,6 +159,14 @@ class TestGamePipeline:
             parse_substitution(sub_path.read_text()),
             parse_constraints(cs_path.read_text()),
         )
+
+    def test_negative_horizon_is_a_usage_error(self, tmp_path, tiny_winner, capsys):
+        tiling = write(tmp_path / "t.txt", format_tiling(tiny_winner))
+        assert run(["solve-game", tiling, "--horizon", "-3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "must be at least 0, got -3" in out.err
+        # 0 is still no horizon
+        assert run(["solve-game", tiling, "--horizon", "0"]) == 0
 
     def test_no_strategy(self, tmp_path, spiral_loser, capsys):
         tiling = write(tmp_path / "t.txt", format_tiling(spiral_loser))
@@ -256,6 +282,13 @@ class TestAxioms:
         assert run(["axioms", "--trials", "50", "--seed", "1"]) == 0
         assert "sound" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_no_trials_is_a_usage_error(self, capsys, value):
+        # no trial checks nothing, so "ok" would be a false claim
+        assert run(["axioms", "--trials", value]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"must be at least 1, got {int(value)}" in out.err
+
 
 class TestUsage:
     def test_no_command(self):
@@ -263,6 +296,41 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
+
+    def test_one_parser_serves_every_call(self, tmp_path, spiral_winner, monkeypatch, capsys):
+        # a parse that fails, one that exits through --help, and options
+        # given on one call and left out on the next: none of them may
+        # leave anything behind for the next call
+        builds = []
+        real = cli.build_parser
+
+        def counting_build():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        monkeypatch.setattr(cli, "_parser", None)
+
+        assert run(["subtype", "a"]) == 2
+        assert "the following arguments are required: rhs" in capsys.readouterr().err
+        assert run(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: itu ")
+
+        # the n=5 golden is past compile-strategy's size guard
+        tiling = write(tmp_path / "t.txt", format_tiling(spiral_winner))
+        strat, sub = str(tmp_path / "f.txt"), str(tmp_path / "s.txt")
+        assert run(["solve-game", tiling, "-o", strat]) == 0
+        assert run(["compile-strategy", tiling, strat, "--override", "-o", sub]) == 0
+        assert run(["compile-strategy", tiling, strat, "-o", sub]) == 2
+        assert "pass override=True to proceed" in capsys.readouterr().err
+
+        cs = write(tmp_path / "cs.txt", "'al <= 'al -> a\n")
+        assert run(["rank1", cs, "--budget-card", "1", "--budget-depth", "1"]) == 1
+        assert capsys.readouterr().out == "none\n"
+        assert run(["rank1", cs]) == 0
+        assert capsys.readouterr().out == "'al := a & (a -> a)\n"
+
+        assert len(builds) == 1
 
 
 def readme_cli_lines():

@@ -20,6 +20,7 @@ from itu import (
     is_omega_equal,
     is_organized,
     is_path,
+    omega_collapse,
     organize,
     parse_type,
     path_split,
@@ -200,6 +201,57 @@ class TestOrganize:
         assert is_organized(o)
         if o is not OMEGA:
             assert all(is_path(c) for c in components(o))
+
+
+def organize_rebuilt(t):
+    """organize as it was first written: every intersection rebuilt."""
+    if isinstance(t, Arrow):
+        tg = organize_rebuilt(t.target)
+        return OMEGA if tg is OMEGA else inter(arrow(t.source, p) for p in components(tg))
+    if isinstance(t, Inter):
+        return inter(organize_rebuilt(c) for c in t.components)
+    return t
+
+
+def omega_collapse_rebuilt(t):
+    """omega_collapse as it was first written: every intersection rebuilt."""
+    if isinstance(t, Arrow):
+        tg = omega_collapse_rebuilt(t.target)
+        return OMEGA if tg is OMEGA else arrow(omega_collapse_rebuilt(t.source), tg)
+    if isinstance(t, Inter):
+        return inter(omega_collapse_rebuilt(c) for c in t.components)
+    return t
+
+
+class TestNoRebuild:
+    def test_unchanged_intersection_is_returned_as_it_is(self, monkeypatch):
+        import itu.types
+
+        # 1,000 distinct omega-free paths of ten arguments each
+        paths = [
+            arrows([const("nr_a" if i >> k & 1 else "nr_b") for k in range(10)], const("nr_c"))
+            for i in range(1000)
+        ]
+        t = inter(paths)
+        assert len(t.components) == 1000
+        calls = []
+        real = itu.types.inter
+
+        def counting_inter(parts):
+            calls.append(1)
+            return real(parts)
+
+        monkeypatch.setattr(itu.types, "inter", counting_inter)
+        assert organize(t) is t
+        assert omega_collapse(t) is t
+        assert calls == []
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_same_node_as_a_full_rebuild(self, seed, depth):
+        t = TypeGen(seed).type(depth)
+        assert organize(t) is organize_rebuilt(t)
+        assert omega_collapse(t) is omega_collapse_rebuilt(t)
 
 
 class TestPaths:
