@@ -270,9 +270,10 @@ def run(argv=None) -> int:
         # the substitution does not solve CT: a decided "no"
         print(f"no: the substitution does not solve CT: {e}", file=sys.stderr)
         return 1
-    except (TypeSyntaxError, ValueError, OSError, RecursionError) as e:
-        # RecursionError: an input nested deeper than a recursive layer
-        # (printer, decider, organize) can follow; exit 1 would read as "no"
+    except (TypeSyntaxError, ValueError, OSError, RuntimeError) as e:
+        # RuntimeError: an input nested deeper than a recursive layer
+        # (printer, decider, organize) can follow, or a rank-1 branch past
+        # the transform's step limit; exit 1 would read as "no"
         print(f"error: {e}", file=sys.stderr)
         return 2
 

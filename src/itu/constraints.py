@@ -80,9 +80,6 @@ class Substitution:
     def get(self, name: str) -> Type:
         return self.mapping.get(name, var(name))
 
-    def apply(self, t: Type) -> Type:
-        return apply(self, t)
-
 
 def apply(s: Substitution, t: Type) -> Type:
     """Capture-free simultaneous substitution; result is canonical.
@@ -209,13 +206,12 @@ def encode_constants_unary(
 class FreshVars:
     """Fresh variable names with the reserved prefix, confined per call."""
 
-    def __init__(self, prefix: str = FRESH_PREFIX):
-        self.prefix = prefix
+    def __init__(self):
         self.counter = 0
 
     def next(self) -> Var:
         self.counter += 1
-        return var(f"{self.prefix}{self.counter}")
+        return var(f"{FRESH_PREFIX}{self.counter}")
 
 
 def _check_no_reserved(t: Type) -> None:

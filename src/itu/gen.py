@@ -7,46 +7,40 @@ reproducible from a seed.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from .types import OMEGA, Type, arrow, const, inter, var
 
 
-DEFAULT_CONSTANTS = ("a", "b", "c")
-DEFAULT_VARIABLES = ("x", "y")
+CONSTANTS = ("a", "b", "c")
+VARIABLES = ("x", "y")
+MAX_WIDTH = 3  # most components in a drawn intersection
 
 
 class TypeGen:
-    """Random type generator with tunable shape probabilities."""
+    """Random type generator; omega and variables can be left out."""
 
     def __init__(
         self,
         rng: random.Random | int,
-        constants: Sequence[str] = DEFAULT_CONSTANTS,
-        variables: Sequence[str] = DEFAULT_VARIABLES,
         allow_omega: bool = True,
         allow_vars: bool = True,
-        max_width: int = 3,
     ):
         self.rng = rng if isinstance(rng, random.Random) else random.Random(rng)
-        self.constants = tuple(constants)
-        self.variables = tuple(variables)
         self.allow_omega = allow_omega
         self.allow_vars = allow_vars
-        self.max_width = max_width
 
     def atom(self) -> Type:
         r = self.rng
         choices = ["const"]
-        if self.allow_vars and self.variables:
+        if self.allow_vars:
             choices.append("var")
         if self.allow_omega:
             choices.append("omega")
         pick = r.choice(choices)
         if pick == "const":
-            return const(r.choice(self.constants))
+            return const(r.choice(CONSTANTS))
         if pick == "var":
-            return var(r.choice(self.variables))
+            return var(r.choice(VARIABLES))
         return OMEGA
 
     def type(self, depth: int = 3) -> Type:
@@ -58,14 +52,14 @@ class TypeGen:
             return self.atom()
         if roll < 0.75:
             return arrow(self.type(depth - 1), self.type(depth - 1))
-        width = r.randint(2, self.max_width)
+        width = r.randint(2, MAX_WIDTH)
         return inter(self.type(depth - 1) for _ in range(width))
 
     def simple(self, depth: int = 3) -> Type:
         """Ground simple type: constants and arrows only."""
         r = self.rng
         if depth <= 0 or r.random() < 0.4:
-            return const(r.choice(self.constants))
+            return const(r.choice(CONSTANTS))
         return arrow(self.simple(depth - 1), self.simple(depth - 1))
 
     def simple_intersection(self, depth: int = 3, width: int = 3) -> Type:

@@ -117,7 +117,6 @@ def extract_valuation(s: Substitution, f: Sat3Instance, alpha: str = "alpha") ->
 
 @dataclass(frozen=True)
 class MatchBudget:
-    max_width: int | None = None  # max components per variable; None = all atoms
     tower_depth: int = 0  # 0 = constants only
 
     def atoms(self, constants: Sequence[Const]) -> list[Type]:
@@ -150,10 +149,9 @@ def solve_matching_bounded(
     if not variables:
         return Substitution() if verify(Substitution(), cs) else None
     atoms = budget.atoms([const(n) for n in sorted(consts)])
-    width = len(atoms) if budget.max_width is None else min(budget.max_width, len(atoms))
 
     candidates: list[Type] = [OMEGA]
-    for k in range(1, width + 1):
+    for k in range(1, len(atoms) + 1):
         for combo in combinations(atoms, k):
             candidates.append(inter(combo))
 

@@ -13,7 +13,7 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .types import (
@@ -336,25 +336,17 @@ class SetConstraintSystem:
 # the transformation
 
 
-class _Abort(Exception):
-    """A branch hit an abortive rule; pruned silently."""
-
-
 def _head_of(t: Type) -> Type:
     while isinstance(t, Arrow):
         t = t.target
     return t
 
 
-def _subsets_desc(items: Sequence) -> Iterator[tuple]:
-    """Nonempty subsets, largest first (full set leads)."""
-    for k in range(len(items), 0, -1):
-        yield from combinations(items, k)
+# a branch that fires more rules than this raises
+_MAX_STEPS = 100_000
 
 
-def rank1_transform(
-    cs: Sequence[Constraint], max_steps: int = 100_000
-) -> Iterator[SetConstraintSystem]:
+def rank1_transform(cs: Sequence[Constraint]) -> Iterator[SetConstraintSystem]:
     """Stream every set-constraint system reachable from cs.
 
     Nondeterminism: the initial choice of variables replaced by omega
@@ -375,32 +367,7 @@ def rank1_transform(
                 for c in cs
             ]
             keep = [x for x in names if x not in v_set]
-            yield from _run_rules(start, keep, v_set, max_steps)
-
-
-def _run_rules(
-    constraints: list[Constraint],
-    declared: list[str],
-    omega_vars: tuple[str, ...],
-    max_steps: int,
-) -> Iterator[SetConstraintSystem]:
-    gen = FreshVars()
-
-    def rec(cl: _Worklist, atoms: tuple[Atom, ...], steps: int) -> Iterator[SetConstraintSystem]:
-        if steps > max_steps:
-            raise RuntimeError("rank1_transform exceeded its step limit")
-        if not cl:
-            decl = dict.fromkeys([*declared, *(v for a in atoms for v in a.vars())])
-            yield SetConstraintSystem(tuple(decl), atoms, omega_vars)
-            return
-        try:
-            rest, got = _step(cl, gen)
-        except _Abort:
-            return
-        for new, new_atoms in got:
-            yield from rec(_classified(new) + rest, atoms + new_atoms, steps + 1)
-
-    yield from rec(_classified(constraints), (), 0)
+            yield from _run_rules(start, keep, v_set)
 
 
 # the pending constraints, each paired with the number of the lowest rule
@@ -410,19 +377,33 @@ _Worklist = tuple[tuple[int, Constraint], ...]
 _NO_RULE = 16
 
 
-def _classified(cs: Sequence[Constraint]) -> _Worklist:
-    return tuple((_classify(c.lhs, c.rhs), c) for c in cs)
-
-
-def _step(cl: _Worklist, gen: FreshVars):
-    """Fire the lowest-numbered applicable rule on the leftmost constraint
-    it applies to; return the other pending constraints and the rule's
-    branch outcomes [(replacement constraints, emitted atoms)]."""
-    idx = min(range(len(cl)), key=lambda i: cl[i][0])
-    rule, c = cl[idx]
-    if rule == _NO_RULE:
-        raise RuntimeError(f"no rule applies to {cl[0][1]}")
-    return cl[:idx] + cl[idx + 1:], _try_rule(rule, c, gen)
+def _run_rules(
+    constraints: list[Constraint], declared: list[str], omega_vars: tuple[str, ...]
+) -> Iterator[SetConstraintSystem]:
+    """Depth-first over the branches: each step fires the lowest-numbered
+    applicable rule on the leftmost constraint it applies to.  A stack
+    entry is one rule outcome (replacement constraints, emitted atoms) with
+    the pending worklist and atoms it extends and the branch's step count;
+    it is classified only when popped."""
+    gen = FreshVars()
+    stack = [((constraints, ()), (), (), 0)]
+    while stack:
+        (new, new_atoms), rest, atoms, steps = stack.pop()
+        if steps > _MAX_STEPS:
+            raise RuntimeError("rank1_transform exceeded its step limit")
+        cl: _Worklist = tuple((_classify(c.lhs, c.rhs), c) for c in new) + rest
+        atoms += new_atoms
+        if not cl:
+            decl = dict.fromkeys([*declared, *(v for a in atoms for v in a.vars())])
+            yield SetConstraintSystem(tuple(decl), atoms, omega_vars)
+            continue
+        idx = min(range(len(cl)), key=lambda i: cl[i][0])
+        rule, c = cl[idx]
+        if rule == _NO_RULE:
+            raise RuntimeError(f"no rule applies to {c}")
+        rest = cl[:idx] + cl[idx + 1:]
+        # reversed, so the outcomes pop in the rule's order
+        stack += [(o, rest, atoms, steps + 1) for o in reversed(_try_rule(rule, c, gen))]
 
 
 def _classify(s: Type, t: Type) -> int:
@@ -465,7 +446,7 @@ def _classify(s: Type, t: Type) -> int:
 
 def _try_rule(rule: int, c: Constraint, gen: FreshVars):
     """Outcomes of a rule that _classify chose for c.  Each outcome is
-    (replacement constraints, emitted atoms); an abortive rule raises."""
+    (replacement constraints, emitted atoms); an abortive rule has none."""
     s, t = c.lhs, c.rhs
     if rule == 1:
         return [((), ())]
@@ -477,21 +458,19 @@ def _try_rule(rule: int, c: Constraint, gen: FreshVars):
         return [((), (Sub(t.name, V(s.name)),))]
     if rule in (5, 7):
         # rule 5: rule 1 already removed the case t in T-omega
-        raise _Abort
+        return []
     if rule == 6:
         return [(tuple(leq(s, p) for p in t.components), ())]
     if rule == 8:
         return [((leq(p, t),), ()) for p in s.components]
     if rule == 9:
-        head = _head_of(t)
-        args = path_split(t).arguments if not isinstance(t, Var) else ()
+        path = path_split(t)
         outcomes = []
-        for chosen in _subsets_desc(s.components):
-            fresh = [gen.next() for _ in chosen]
-            new = tuple(
-                leq(p, arrows(args, a)) for p, a in zip(chosen, fresh)
-            )
-            outcomes.append((new, (Union(head.name, tuple(a.name for a in fresh)),)))
+        for k in range(len(s.components), 0, -1):  # largest subsets first
+            for chosen in combinations(s.components, k):
+                fresh = [gen.next() for _ in chosen]
+                new = tuple(leq(p, arrows(path.arguments, a)) for p, a in zip(chosen, fresh))
+                outcomes.append((new, (Union(path.head.name, tuple(a.name for a in fresh)),)))
         return outcomes
     if rule == 10:
         return [((leq(t.source, s.source), leq(s.target, t.target)), ())]
@@ -504,21 +483,18 @@ def _try_rule(rule: int, c: Constraint, gen: FreshVars):
             Proj("tgt", g.name, d.name),
         )
         return [(new, atoms)]
-    src_t = s.source
     if rule == 12:
         b, g = gen.next(), gen.next()
         atoms = (Sub(t.name, Arr((V(g.name),), V(b.name))),)
         return [((leq(s.target, b),), atoms)]
     if rule == 13:
-        return [
-            (tuple(leq(arrow(p, s.target), t) for p in src_t.components), ())
-        ]
+        return [(tuple(leq(arrow(p, s.target), t) for p in s.source.components), ())]
     # rules 14 and 15: the source is a path with a constant (variable) head
-    head = _head_of(src_t)
-    args = path_split(src_t).arguments if isinstance(src_t, Arrow) else ()
-    bs = [gen.next() for _ in args]
+    path = path_split(s.source)
+    head = path.head
+    bs = [gen.next() for _ in path.arguments]
     g = gen.next()
-    new = tuple(leq(a, b) for a, b in zip(args, bs)) + (leq(s.target, g),)
+    new = tuple(leq(a, b) for a, b in zip(path.arguments, bs)) + (leq(s.target, g),)
     inner = K(head.name) if rule == 14 else V(head.name)
     if bs:
         inner = Arr(tuple(V(b.name) for b in bs), inner)
@@ -691,7 +667,7 @@ def assignment_to_substitution(
         if x in scs.omega_vars:
             mapping[x] = OMEGA
         else:
-            mapping[x] = inter(sorted(assignment.get(x, frozenset()), key=print_type))
+            mapping[x] = inter(assignment.get(x, ()))
     return Substitution(mapping)
 
 
@@ -734,20 +710,15 @@ def find_arrow_index_set(comps: Sequence[Type], rhs: Arrow) -> tuple[int, ...] |
     """Witness index set: a subset I' of the arrow components with
     intersection-of-sources -> intersection-of-targets below rhs."""
     arrows_only = [(i, c) for i, c in enumerate(comps) if isinstance(c, Arrow)]
-    for picked in chain.from_iterable(
-        combinations(arrows_only, k) for k in range(len(arrows_only) + 1)
-    ):
-        if not picked:
-            merged = None
-        else:
+    for k in range(1, len(arrows_only) + 1):
+        for picked in combinations(arrows_only, k):
             merged = arrow(
                 inter([c.source for _, c in picked]),
                 inter([c.target for _, c in picked]),
             )
-        if merged is not None and subtype(merged, rhs):
-            return tuple(i for i, _ in picked)
+            if subtype(merged, rhs):
+                return tuple(i for i, _ in picked)
     return None
-
 
 
 # ---------------------------------------------------------------------------

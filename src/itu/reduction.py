@@ -8,7 +8,6 @@ extractor that replays a satisfying substitution as a winning play.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,6 +20,7 @@ from .types import (
     components,
     const,
     inter,
+    is_identifier,
     organize,
     path_split,
     var,
@@ -44,8 +44,6 @@ DEFAULT_BULLET_NAME = "mark"
 MAX_DEPTH_PLUS_N = 14
 MAX_TILES = 3
 
-_IDENT = re.compile(r"[a-z_][a-z0-9_]*\Z")
-
 ALPHA = "alpha"
 
 
@@ -61,7 +59,7 @@ def _marker(t: TilingSystem, bullet: Const | None) -> Const:
     """The marker constant (``mark`` by default), checked against the tiles."""
     bullet = bullet or const(DEFAULT_BULLET_NAME)
     for d in t.tiles:
-        if not _IDENT.match(d) or d == "omega":
+        if not is_identifier(d) or d == "omega":
             raise ValueError(f"tile {d!r} is not usable as a type constant")
         if d == bullet.name:
             raise ValueError(f"tile {d!r} collides with the marker constant")

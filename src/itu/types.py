@@ -307,9 +307,6 @@ class Path:
     arguments: tuple[Type, ...]
     head: Type  # Const or Var
 
-    def to_type(self) -> Type:
-        return arrows(self.arguments, self.head)
-
 
 def path_split(t: Type) -> Path:
     """Decompose a path type; raises ValueError on non-paths."""

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import itu.rank1
 from itu import format_substitution, format_tiling, parse_substitution, parse_type, verify
 from itu import parse_constraints
 from itu import cli
@@ -275,6 +276,12 @@ class TestRank1:
         assert run(["rank1", cs, flag, value]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "must be at least 1" in out.err
+
+    def test_step_limit_is_an_error_not_no(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(itu.rank1, "_MAX_STEPS", 5)
+        cs = write(tmp_path / "cs.txt", "".join(f"'x_{i} <= a\n" for i in range(10)))
+        assert run(["rank1", cs]) == 2
+        assert capsys.readouterr().err == "error: rank1_transform exceeded its step limit\n"
 
 
 class TestAxioms:

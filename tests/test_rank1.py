@@ -189,6 +189,22 @@ def test_solve_rank1_searches_each_branch_once(monkeypatch, ex55_constraints):
     assert all(got is want for got, want in zip(searches, branches))
 
 
+def _one_rule_each(n):
+    return parse_constraints("\n".join(f"'x_{i} <= a" for i in range(n)))
+
+
+def test_transform_runs_a_branch_longer_than_the_recursion_limit():
+    # each constraint fires rule 3 once, so the first branch takes 1,100 steps
+    scs = next(rank1_transform(_one_rule_each(1100)))
+    assert len(scs.atoms) == 1100
+
+
+def test_transform_raises_past_its_step_limit(monkeypatch):
+    monkeypatch.setattr(itu.rank1, "_MAX_STEPS", 5)
+    with pytest.raises(RuntimeError, match="exceeded its step limit"):
+        next(rank1_transform(_one_rule_each(10)))
+
+
 def test_every_pinned_branch_round_trips_through_text(ex55_constraints):
     for name, cs in _pinned_inputs(ex55_constraints):
         for scs in rank1_transform(cs):
