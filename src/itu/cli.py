@@ -272,8 +272,9 @@ def run(argv=None) -> int:
         return 1
     except (TypeSyntaxError, ValueError, OSError, RuntimeError) as e:
         # RuntimeError: an input nested deeper than a recursive layer
-        # (printer, decider, organize) can follow, or a rank-1 branch past
-        # the transform's step limit; exit 1 would read as "no"
+        # (printer, decider, organize of an input it must rebuild) can
+        # follow, or a rank-1 branch past the transform's step limit;
+        # exit 1 would read as "no"
         print(f"error: {e}", file=sys.stderr)
         return 2
 

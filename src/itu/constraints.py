@@ -130,12 +130,8 @@ def unif_to_sat(cs: Sequence[Constraint]) -> ConstraintSet:
     return tuple(out)
 
 
-def is_ground(t: Type) -> bool:
-    return t._ground
-
-
 def is_matching_instance(cs: Sequence[Constraint]) -> bool:
-    return all(is_ground(c.lhs) or is_ground(c.rhs) for c in cs)
+    return all(c.lhs._ground or c.rhs._ground for c in cs)
 
 
 def pack_single(cs: Sequence[Constraint], bullet: Const) -> Constraint:
@@ -151,7 +147,7 @@ def pack_single(cs: Sequence[Constraint], bullet: Const) -> Constraint:
         if c.kind != LEQ:
             raise ValueError("pack_single expects <= constraints only")
         if matching:
-            if is_ground(c.lhs):
+            if c.lhs._ground:
                 lhs_parts.append(arrow(c.lhs, bullet))
                 rhs_parts.append(arrow(c.rhs, bullet))
             else:

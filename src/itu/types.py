@@ -15,9 +15,12 @@ from typing import Mapping, Sequence
 
 
 class Type:
-    # _ground (no variable occurs) is set by the factory that interns the
-    # node; the other three are caches filled on first use
-    __slots__ = ("_skey", "_collapsed", "_size", "_ground")
+    # Each constructor sets the slots that the node's children decide, once,
+    # when the node is interned: _ground (no variable occurs), and
+    # _collapsed and _organized, which hold the node itself when
+    # omega_collapse or organize would return it unchanged and None
+    # otherwise.  A None is filled on first use, as is the lazy _skey.
+    __slots__ = ("_skey", "_collapsed", "_organized", "_ground")
 
     def __str__(self) -> str:
         return print_type(self)
@@ -31,6 +34,9 @@ class Const(Type):
 
     def __init__(self, name: str):
         self.name = name
+        self._skey = None
+        self._collapsed = self._organized = self
+        self._ground = True
 
 
 class Var(Type):
@@ -38,6 +44,9 @@ class Var(Type):
 
     def __init__(self, name: str):
         self.name = name
+        self._skey = None
+        self._collapsed = self._organized = self
+        self._ground = False
 
 
 class _Omega(Type):
@@ -50,6 +59,14 @@ class Arrow(Type):
     def __init__(self, source: Type, target: Type):
         self.source = source
         self.target = target
+        self._skey = None
+        self._ground = source._ground and target._ground
+        # omega_collapse maps an arrow with an omega target to omega, and
+        # organize also distributes it over an intersection target
+        kept = target._collapsed is target and not isinstance(target, _Omega)
+        self._collapsed = self if kept and source._collapsed is source else None
+        kept = target._organized is target and not isinstance(target, (_Omega, Inter))
+        self._organized = self if kept else None
 
 
 class Inter(Type):
@@ -57,30 +74,25 @@ class Inter(Type):
 
     def __init__(self, components: tuple[Type, ...]):
         self.components = components
+        self._skey = None
+        self._ground = all(c._ground for c in components)
+        self._collapsed = self if all(c._collapsed is c for c in components) else None
+        self._organized = self if all(c._organized is c for c in components) else None
 
 
 OMEGA = _Omega()
 OMEGA._skey = (2,)
-OMEGA._collapsed = OMEGA
-OMEGA._size = 1
+OMEGA._collapsed = OMEGA._organized = OMEGA
 OMEGA._ground = True
 
 _cache: dict[tuple, Type] = {}
-
-
-def _fresh_slots(t: Type, ground: bool) -> Type:
-    t._skey = None
-    t._collapsed = None
-    t._size = None
-    t._ground = ground
-    return t
 
 
 def const(name: str) -> Const:
     key = ("C", name)
     t = _cache.get(key)
     if t is None:
-        t = _cache[key] = _fresh_slots(Const(name), True)
+        t = _cache[key] = Const(name)
     return t
 
 
@@ -88,7 +100,7 @@ def var(name: str) -> Var:
     key = ("V", name)
     t = _cache.get(key)
     if t is None:
-        t = _cache[key] = _fresh_slots(Var(name), False)
+        t = _cache[key] = Var(name)
     return t
 
 
@@ -96,7 +108,7 @@ def arrow(source: Type, target: Type) -> Arrow:
     key = ("A", source, target)
     t = _cache.get(key)
     if t is None:
-        t = _cache[key] = _fresh_slots(Arrow(source, target), source._ground and target._ground)
+        t = _cache[key] = Arrow(source, target)
     return t
 
 
@@ -165,7 +177,7 @@ def inter(parts) -> Type:
     key = ("I",) + tuple(flat)
     t = _cache.get(key)
     if t is None:
-        t = _cache[key] = _fresh_slots(Inter(tuple(flat)), all(c._ground for c in flat))
+        t = _cache[key] = Inter(tuple(flat))
     return t
 
 
@@ -179,76 +191,72 @@ def components(t: Type) -> tuple[Type, ...]:
 
 
 def size(t: Type) -> int:
-    """Number of nodes in the syntax tree."""
-    n = t._size
-    if n is None:
-        if isinstance(t, Arrow):
-            n = 1 + size(t.source) + size(t.target)
-        elif isinstance(t, Inter):
-            # n components = n-1 binary intersection nodes
-            n = len(t.components) - 1 + sum(size(c) for c in t.components)
+    """Number of nodes in the syntax tree, in one pass over the shared
+    graph on an explicit stack."""
+    sizes: dict[Type, int] = {}
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if isinstance(u, (Arrow, Inter)):
+            kids = (u.source, u.target) if isinstance(u, Arrow) else u.components
+            todo = [c for c in kids if c not in sizes]
+            if todo:
+                stack += todo
+                continue
+            # an arrow node over two children; n components need n-1
+            # binary intersection nodes
+            sizes[u] = len(kids) - 1 + sum(sizes[c] for c in kids)
         else:
-            n = 1
-        t._size = n
-    return n
+            sizes[u] = 1
+        stack.pop()
+    return sizes[t]
 
 
 def is_atom(t: Type) -> bool:
     return isinstance(t, (Const, Var))
 
 
-def type_constants(t: Type) -> set[str]:
+def _atom_names(t: Type, kind: type) -> set[str]:
+    """Names of the atoms of class kind in t, one visit per shared node.
+    The search for variables skips ground subterms."""
     out: set[str] = set()
+    seen: set[Type] = set()
     stack = [t]
     while stack:
         u = stack.pop()
-        if isinstance(u, Const):
+        if u in seen or (kind is Var and u._ground):
+            continue
+        seen.add(u)
+        if isinstance(u, kind):
             out.add(u.name)
         elif isinstance(u, Arrow):
-            stack.append(u.source)
-            stack.append(u.target)
+            stack += (u.source, u.target)
         elif isinstance(u, Inter):
-            stack.extend(u.components)
+            stack += u.components
     return out
+
+
+def type_constants(t: Type) -> set[str]:
+    return _atom_names(t, Const)
 
 
 def type_vars(t: Type) -> set[str]:
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Var):
-            out.add(u.name)
-        elif isinstance(u, Arrow):
-            stack.append(u.source)
-            stack.append(u.target)
-        elif isinstance(u, Inter):
-            stack.extend(u.components)
-    return out
+    return _atom_names(t, Var)
 
 
 # ---------------------------------------------------------------------------
 # omega collapse and organization
 
-def _same_or_inter(t: Inter, images: list[Type]) -> Type:
-    """The intersection of the images of t's components; t itself, with no
-    new sort, when each component is its own image."""
-    if all(x is c for x, c in zip(images, t.components)):
-        return t
-    return inter(images)
-
-
 def omega_collapse(t: Type) -> Type:
     """Replace every subterm equal to omega (the T^omega shapes) by omega."""
     c = t._collapsed
     if c is None:
+        # t is an arrow or intersection that changes
         if isinstance(t, Arrow):
             tg = omega_collapse(t.target)
             c = OMEGA if tg is OMEGA else arrow(omega_collapse(t.source), tg)
-        elif isinstance(t, Inter):
-            c = _same_or_inter(t, [omega_collapse(x) for x in t.components])
         else:
-            c = t
+            c = inter([omega_collapse(x) for x in t.components])
         t._collapsed = c
     return c
 
@@ -258,33 +266,26 @@ def is_omega_equal(t: Type) -> bool:
     return omega_collapse(t) is OMEGA
 
 
-_organize_cache: dict[Type, Type] = {}
-
-
 def organize(t: Type) -> Type:
     """Equivalent organized type: omega or an intersection of paths.
 
     Arrow targets are organized recursively and the arrow distributed over
     the resulting paths; arrow arguments are left untouched.
     """
-    got = _organize_cache.get(t)
-    if got is not None:
-        return got
-    if isinstance(t, Arrow):
-        tg = organize(t.target)
-        if tg is OMEGA:
-            out = OMEGA
-        elif isinstance(tg, Inter):
-            out = inter(arrow(t.source, p) for p in tg.components)
+    out = t._organized
+    if out is None:
+        # t is an arrow or intersection that changes
+        if isinstance(t, Arrow):
+            tg = organize(t.target)
+            if tg is OMEGA:
+                out = OMEGA
+            elif isinstance(tg, Inter):
+                out = inter(arrow(t.source, p) for p in tg.components)
+            else:
+                out = arrow(t.source, tg)
         else:
-            out = arrow(t.source, tg)  # t itself when the target is a path
-    elif isinstance(t, Inter):
-        out = _same_or_inter(t, [organize(c) for c in t.components])
-    elif t is OMEGA:
-        out = OMEGA
-    else:
-        out = t
-    _organize_cache[t] = out
+            out = inter([organize(c) for c in t.components])
+        t._organized = out
     return out
 
 
@@ -295,9 +296,9 @@ def is_path(t: Type) -> bool:
 
 
 def is_organized(t: Type) -> bool:
-    if t is OMEGA:
-        return True
-    return all(is_path(c) for c in components(t))
+    """True iff t is omega or an intersection of paths, which are the
+    types that organize returns unchanged."""
+    return t._organized is t
 
 
 @dataclass(frozen=True)

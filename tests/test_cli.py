@@ -36,10 +36,16 @@ class TestDeciders:
         assert "error" in capsys.readouterr().err
 
     def test_too_deep_for_the_decider_is_an_error_not_no(self, capsys):
+        # two 10^4-deep chains that differ only in the innermost constant:
+        # the decider follows both to the bottom
         chain = " -> ".join(["a"] * 10**4)
-        assert run(["subtype", chain, "a"]) == 2
+        assert run(["subtype", chain, chain[:-1] + "b"]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: ")
+        # the chain against a is decided at its root: a chain that
+        # omega_collapse keeps needs no walk
+        assert run(["subtype", chain, "a"]) == 1
+        assert capsys.readouterr().out.strip() == "no"
 
     def test_organize_to_file(self, tmp_path):
         out = tmp_path / "o.txt"

@@ -27,7 +27,9 @@ from itu import (
     print_type,
     size,
     subtype,
+    type_constants,
     type_equal,
+    type_vars,
     var,
 )
 from itu.gen import TypeGen
@@ -250,8 +252,30 @@ class TestNoRebuild:
     @settings(max_examples=300, deadline=None)
     def test_same_node_as_a_full_rebuild(self, seed, depth):
         t = TypeGen(seed).type(depth)
+        # the flags set when t was interned are exact
+        assert (t._collapsed is t) == (omega_collapse_rebuilt(t) is t)
+        assert (t._organized is t) == (organize_rebuilt(t) is t)
         assert organize(t) is organize_rebuilt(t)
         assert omega_collapse(t) is omega_collapse_rebuilt(t)
+
+
+class TestSharedGraph:
+    def test_doubling_dag(self):
+        # t_i = t_{i-1} -> t_{i-1} & dag_i: its tree doubles at every level
+        t = var("dag")
+        for i in range(1, 61):
+            t = arrow(t, inter([t, const(f"dag_{i}")]))
+        assert size(t) == 2**62 - 3
+        assert type_vars(t) == {"dag"}
+        assert type_constants(t) == {f"dag_{i}" for i in range(1, 61)}
+
+    def test_deep_chain_is_kept_as_it_is(self):
+        t = arrows([const("a")] * 10**5, const("a"))
+        assert organize(t) is t
+        assert omega_collapse(t) is t
+        assert size(t) == 2 * 10**5 + 1
+        assert type_vars(t) == set()
+        assert type_constants(t) == {"a"}
 
 
 class TestPaths:
