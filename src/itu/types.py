@@ -16,10 +16,10 @@ from typing import Mapping, Sequence
 
 class Type:
     # Each constructor sets the slots that the node's children decide, once,
-    # when the node is interned: _ground (no variable occurs), and
-    # _collapsed and _organized, which hold the node itself when
-    # omega_collapse or organize would return it unchanged and None
-    # otherwise.  A None is filled on first use, as is the lazy _skey.
+    # when the node is interned: an atom's _skey, _ground (no variable
+    # occurs), _organized (organize returns the node unchanged), and
+    # _collapsed, which holds the node itself when omega_collapse returns it
+    # unchanged and None otherwise.  A None is filled on first use.
     __slots__ = ("_skey", "_collapsed", "_organized", "_ground")
 
     def __str__(self) -> str:
@@ -34,9 +34,9 @@ class Const(Type):
 
     def __init__(self, name: str):
         self.name = name
-        self._skey = None
-        self._collapsed = self._organized = self
-        self._ground = True
+        self._skey = (0, name)
+        self._collapsed = self
+        self._organized = self._ground = True
 
 
 class Var(Type):
@@ -44,9 +44,9 @@ class Var(Type):
 
     def __init__(self, name: str):
         self.name = name
-        self._skey = None
-        self._collapsed = self._organized = self
-        self._ground = False
+        self._skey = (1, name)
+        self._collapsed = self
+        self._organized, self._ground = True, False
 
 
 class _Omega(Type):
@@ -65,8 +65,7 @@ class Arrow(Type):
         # organize also distributes it over an intersection target
         kept = target._collapsed is target and not isinstance(target, _Omega)
         self._collapsed = self if kept and source._collapsed is source else None
-        kept = target._organized is target and not isinstance(target, (_Omega, Inter))
-        self._organized = self if kept else None
+        self._organized = target._organized and not isinstance(target, (_Omega, Inter))
 
 
 class Inter(Type):
@@ -77,13 +76,13 @@ class Inter(Type):
         self._skey = None
         self._ground = all(c._ground for c in components)
         self._collapsed = self if all(c._collapsed is c for c in components) else None
-        self._organized = self if all(c._organized is c for c in components) else None
+        self._organized = all(c._organized for c in components)
 
 
 OMEGA = _Omega()
 OMEGA._skey = (2,)
-OMEGA._collapsed = OMEGA._organized = OMEGA
-OMEGA._ground = True
+OMEGA._collapsed = OMEGA
+OMEGA._organized = OMEGA._ground = True
 
 _cache: dict[tuple, Type] = {}
 
@@ -131,11 +130,7 @@ def skey(t: Type):
     stack = [t]
     while stack:
         u = stack[-1]
-        if isinstance(u, Const):
-            u._skey = (0, u.name)
-        elif isinstance(u, Var):
-            u._skey = (1, u.name)
-        elif isinstance(u, Arrow):
+        if isinstance(u, Arrow):
             src, tgt = u.source._skey, u.target._skey
             if src is None or tgt is None:
                 if src is None:
@@ -266,13 +261,20 @@ def is_omega_equal(t: Type) -> bool:
     return omega_collapse(t) is OMEGA
 
 
+# organize's results for the nodes it rebuilds; an organized node is its
+# own result and takes no entry
+_organize_cache: dict[Type, Type] = {}
+
+
 def organize(t: Type) -> Type:
     """Equivalent organized type: omega or an intersection of paths.
 
     Arrow targets are organized recursively and the arrow distributed over
     the resulting paths; arrow arguments are left untouched.
     """
-    out = t._organized
+    if t._organized:
+        return t
+    out = _organize_cache.get(t)
     if out is None:
         # t is an arrow or intersection that changes
         if isinstance(t, Arrow):
@@ -285,7 +287,7 @@ def organize(t: Type) -> Type:
                 out = arrow(t.source, tg)
         else:
             out = inter([organize(c) for c in t.components])
-        t._organized = out
+        _organize_cache[t] = out
     return out
 
 
@@ -298,7 +300,7 @@ def is_path(t: Type) -> bool:
 def is_organized(t: Type) -> bool:
     """True iff t is omega or an intersection of paths, which are the
     types that organize returns unchanged."""
-    return t._organized is t
+    return t._organized
 
 
 @dataclass(frozen=True)

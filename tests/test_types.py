@@ -254,7 +254,7 @@ class TestNoRebuild:
         t = TypeGen(seed).type(depth)
         # the flags set when t was interned are exact
         assert (t._collapsed is t) == (omega_collapse_rebuilt(t) is t)
-        assert (t._organized is t) == (organize_rebuilt(t) is t)
+        assert t._organized == (organize_rebuilt(t) is t)
         assert organize(t) is organize_rebuilt(t)
         assert omega_collapse(t) is omega_collapse_rebuilt(t)
 
