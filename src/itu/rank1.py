@@ -38,7 +38,6 @@ from .subtyping import subtype
 from .constraints import (
     Constraint,
     FreshVars,
-    LEQ,
     Substitution,
     apply,
     leq,
@@ -355,9 +354,6 @@ def rank1_transform(cs: Sequence[Constraint]) -> Iterator[SetConstraintSystem]:
     hit an abortive rule are dropped.
     """
     cs = unif_to_sat(tuple(cs))
-    for c in cs:
-        if c.kind != LEQ:
-            raise ValueError("rank1_transform expects <= constraints")
     names = sorted(set().union(*[type_vars(c.lhs) | type_vars(c.rhs) for c in cs], set()))
     for k in range(len(names) + 1):
         for v_set in combinations(names, k):
@@ -370,40 +366,57 @@ def rank1_transform(cs: Sequence[Constraint]) -> Iterator[SetConstraintSystem]:
             yield from _run_rules(start, keep, v_set)
 
 
-# the pending constraints, each paired with the number of the lowest rule
-# that applies to it (_classify), in the order the rules consider them
-_Worklist = tuple[tuple[int, Constraint], ...]
-
 _NO_RULE = 16
 
 
 def _run_rules(
     constraints: list[Constraint], declared: list[str], omega_vars: tuple[str, ...]
 ) -> Iterator[SetConstraintSystem]:
-    """Depth-first over the branches: each step fires the lowest-numbered
-    applicable rule on the leftmost constraint it applies to.  A stack
-    entry is one rule outcome (replacement constraints, emitted atoms) with
-    the pending worklist and atoms it extends and the branch's step count;
-    it is classified only when popped."""
+    """Depth-first over the branches.  No rule reads any constraint but the
+    one it fires on, so the firing order only decides how soon a dead
+    branch is dropped.  Each step fires the newest constraint of the first
+    nonempty pending list: the deterministic rules, then rule 8's component
+    choice, then rule 9's subset choice, which has the most outcomes.  A
+    pending list is None or a cell (rule, constraint, rest), so sibling
+    branches share their common cells; the emitted atoms are a chain of
+    (atoms, earlier) cells.  A stack entry is one rule outcome (replacement
+    constraints, emitted atoms) with the lists it extends and the branch's
+    step count; it is classified only when popped."""
     gen = FreshVars()
-    stack = [((constraints, ()), (), (), 0)]
+    stack = [((constraints, ()), None, None, None, None, 0)]
     while stack:
-        (new, new_atoms), rest, atoms, steps = stack.pop()
+        (new, new_atoms), det, comps, subsets, atoms, steps = stack.pop()
         if steps > _MAX_STEPS:
             raise RuntimeError("rank1_transform exceeded its step limit")
-        cl: _Worklist = tuple((_classify(c.lhs, c.rhs), c) for c in new) + rest
-        atoms += new_atoms
-        if not cl:
-            decl = dict.fromkeys([*declared, *(v for a in atoms for v in a.vars())])
-            yield SetConstraintSystem(tuple(decl), atoms, omega_vars)
+        for c in new:
+            rule = _classify(c.lhs, c.rhs)
+            if rule == 8:
+                comps = (rule, c, comps)
+            elif rule == 9:
+                subsets = (rule, c, subsets)
+            else:
+                det = (rule, c, det)
+        atoms = (new_atoms, atoms)
+        if det is not None:
+            rule, c, det = det
+        elif comps is not None:
+            rule, c, comps = comps
+        elif subsets is not None:
+            rule, c, subsets = subsets
+        else:
+            groups = []
+            while atoms is not None:
+                group, atoms = atoms
+                groups.append(group)
+            flat = tuple(a for group in reversed(groups) for a in group)
+            decl = dict.fromkeys([*declared, *(v for a in flat for v in a.vars())])
+            yield SetConstraintSystem(tuple(decl), flat, omega_vars)
             continue
-        idx = min(range(len(cl)), key=lambda i: cl[i][0])
-        rule, c = cl[idx]
         if rule == _NO_RULE:
             raise RuntimeError(f"no rule applies to {c}")
-        rest = cl[:idx] + cl[idx + 1:]
         # reversed, so the outcomes pop in the rule's order
-        stack += [(o, rest, atoms, steps + 1) for o in reversed(_try_rule(rule, c, gen))]
+        pending = (det, comps, subsets, atoms, steps + 1)
+        stack += [(o, *pending) for o in reversed(_try_rule(rule, c, gen))]
 
 
 def _classify(s: Type, t: Type) -> int:
@@ -609,27 +622,37 @@ class _Search:
         return min((opts for opts in inventive if opts), key=len, default=[])
 
     def solutions(self) -> Iterator[dict[str, frozenset[Type]]]:
-        state = frozenset((v, p) for v, got in self.sets.items() for p in got)
-        if state in self.seen:
-            return
-        self.seen.add(state)
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise SearchLimit
-        options = self.violation()
-        if options is None:
-            yield {v: frozenset(got) for v, got in self.sets.items()}
-            return
-        for adds in options:
-            applied = [(v, p) for v, p in adds if p not in self.sets[v]]
-            if not applied:
+        """Depth-first over the states the repairs reach.  A stack entry is
+        an open state's untried repair options (None before its visit) and
+        the additions that made it, which are undone when it is left."""
+        stack: list[list] = [[None, []]]
+        while stack:
+            frame = stack[-1]
+            if frame[0] is None:
+                frame[0] = iter(())
+                state = frozenset((v, p) for v, got in self.sets.items() for p in got)
+                if state not in self.seen:
+                    self.seen.add(state)
+                    self.nodes += 1
+                    if self.max_nodes is not None and self.nodes > self.max_nodes:
+                        raise SearchLimit
+                    options = self.violation()
+                    if options is None:
+                        yield {v: frozenset(got) for v, got in self.sets.items()}
+                    else:
+                        frame[0] = iter(options)
+            adds = next(frame[0], None)
+            if adds is None:
+                stack.pop()
+                for v, p in frame[1]:
+                    self.sets[v].discard(p)
                 continue
-            for v, p in applied:
+            made = [(v, p) for v, p in adds if p not in self.sets[v]]
+            for v, p in made:
                 self.sets[v].add(p)
                 self.pool_add(p)
-            yield from self.solutions()
-            for v, p in applied:
-                self.sets[v].discard(p)
+            if made:
+                stack.append([None, made])
 
 
 def iter_set_solutions(
@@ -641,7 +664,7 @@ def iter_set_solutions(
     (max cardinality per variable, max simple-type depth per element).
 
     Repair search: start from the pinned sets, find the first violated
-    atom, apply every bounded repair, recurse.  All additions are
+    atom, apply every bounded repair, go on from each.  All additions are
     monotone, so the search terminates; states reached by several repair
     orders are explored once.  With max_nodes set, raises SearchLimit if
     the cap is hit before the search space is exhausted.
@@ -662,13 +685,9 @@ def assignment_to_substitution(
 ) -> Substitution:
     """Sets become intersections (empty set = omega); omega-chosen
     variables map to omega; fresh bookkeeping variables are dropped."""
-    mapping: dict[str, Type] = {}
-    for x in original_vars:
-        if x in scs.omega_vars:
-            mapping[x] = OMEGA
-        else:
-            mapping[x] = inter(assignment.get(x, ()))
-    return Substitution(mapping)
+    return Substitution({
+        x: OMEGA if x in scs.omega_vars else inter(assignment.get(x, ())) for x in original_vars
+    })
 
 
 # each branch's search stops after this many nodes; solve_rank1 gives up
@@ -688,9 +707,7 @@ def solve_rank1(
     re-verified against cs before being returned, so the result is sound
     regardless of budget effects."""
     cs = tuple(cs)
-    original_vars: set[str] = set()
-    for c in cs:
-        original_vars |= type_vars(c.lhs) | type_vars(c.rhs)
+    original_vars = set().union(*(type_vars(c.lhs) | type_vars(c.rhs) for c in cs))
     tried = 0
     for scs in rank1_transform(cs):
         try:

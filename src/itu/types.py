@@ -435,37 +435,20 @@ def parse_type(text: str, defs: Mapping[str, Type] | None = None) -> Type:
 # printing
 
 def print_type(t: Type) -> str:
-    if t is OMEGA:
-        return "omega"
-    if isinstance(t, Const):
-        return t.name
-    if isinstance(t, Var):
-        return "'" + t.name
-    if isinstance(t, Arrow):
-        src = print_type(t.source)
-        if isinstance(t.source, (Arrow, Inter)):
-            src = f"({src})"
-        return f"{src} -> {print_type(t.target)}"
-    parts = []
-    for c in t.components:
-        s = print_type(c)
-        if isinstance(c, Arrow):
-            s = f"({s})"
-        parts.append(s)
-    return " & ".join(parts)
+    return _print_named(t, {})
 
 
 def _print_named(t: Type, names: Mapping[Type, str]) -> str:
     """``print_type(t)``, except that a subterm with a name in ``names``
-    prints as the name.  Walks an explicit stack of nodes and text;
-    ``print_type`` stays recursive, which is faster on the small types
-    rank-1 sorts by their text."""
+    prints as the name.  Walks an explicit stack of nodes and text."""
     out: list[str] = []
     stack: list = [t]
     while stack:
         u = stack.pop()
         if isinstance(u, str):
             out.append(u)
+        elif isinstance(u, Const):
+            out.append(u.name)
         elif u in names:
             out.append(names[u])
         elif isinstance(u, Arrow):
@@ -476,17 +459,15 @@ def _print_named(t: Type, names: Mapping[Type, str]) -> str:
             else:
                 stack.append(src)
         elif isinstance(u, Inter):
-            items: list = []
-            for c in u.components:
-                if items:
-                    items.append(" & ")
-                if isinstance(c, Arrow) and c not in names:
-                    items += ("(", c, ")")
-                else:
-                    items.append(c)
-            stack += reversed(items)
+            # pushed last first, so the components pop in order
+            for k, c in enumerate(reversed(u.components)):
+                if k:
+                    stack.append(" & ")
+                stack += (")", c, "(") if isinstance(c, Arrow) and c not in names else (c,)
+        elif isinstance(u, Var):
+            out.append("'" + u.name)
         else:
-            out.append(print_type(u))
+            out.append("omega")
     return "".join(out)
 
 

@@ -47,6 +47,11 @@ class TestDeciders:
         assert run(["subtype", chain, "a"]) == 1
         assert capsys.readouterr().out.strip() == "no"
 
+    def test_deep_chain_organizes_at_the_default_recursion_limit(self, capsys):
+        chain = " -> ".join(["a"] * 10**5)
+        assert run(["organize", chain]) == 0
+        assert capsys.readouterr().out == chain + "\n"
+
     def test_organize_to_file(self, tmp_path):
         out = tmp_path / "o.txt"
         assert run(["organize", "a -> b & c", "-o", str(out)]) == 0
@@ -282,6 +287,13 @@ class TestRank1:
         assert run(["rank1", cs, flag, value]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "must be at least 1" in out.err
+
+    def test_long_branch_is_searched_at_the_default_recursion_limit(self, tmp_path, capsys):
+        # one set variable per constraint: the search adds 1,100 elements
+        cs = write(tmp_path / "cs.txt", "".join(f"'x_{i} <= a\n" for i in range(1100)))
+        assert run(["rank1", cs]) == 0
+        out = capsys.readouterr().out
+        assert out.count(" := a\n") == 1100
 
     def test_step_limit_is_an_error_not_no(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(itu.rank1, "_MAX_STEPS", 5)

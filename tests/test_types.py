@@ -274,6 +274,7 @@ class TestSharedGraph:
         assert organize(t) is t
         assert omega_collapse(t) is t
         assert size(t) == 2 * 10**5 + 1
+        assert print_type(t) == " -> ".join(["a"] * (10**5 + 1))
         assert type_vars(t) == set()
         assert type_constants(t) == {"a"}
 
