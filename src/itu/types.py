@@ -439,8 +439,9 @@ def print_type(t: Type) -> str:
 
 
 def _print_named(t: Type, names: Mapping[Type, str]) -> str:
-    """``print_type(t)``, except that a subterm with a name in ``names``
-    prints as the name.  Walks an explicit stack of nodes and text."""
+    """``print_type(t)``, except that an arrow or intersection with a name
+    in ``names`` prints as the name.  Walks an explicit stack of nodes and
+    text."""
     out: list[str] = []
     stack: list = [t]
     while stack:
