@@ -238,8 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rank1")
     sp.add_argument("constraints")
     # a budget below 1 admits no set element, so every answer would be a false "no"
-    sp.add_argument("--budget-card", type=_at_least(1), default=3)
-    sp.add_argument("--budget-depth", type=_at_least(1), default=6)
+    sp.add_argument(
+        "--budget-card", type=_at_least(1), default=3,
+        help="most elements of every set variable of a branch, the fresh ones included",
+    )
+    sp.add_argument(
+        "--budget-depth", type=_at_least(1), default=6,
+        help="greatest simple-type depth of an element of every set variable of a"
+        " branch, the fresh ones included",
+    )
     sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(fn=_cmd_rank1)
 

@@ -186,15 +186,19 @@ def encode_constants_unary(
         if missing:
             raise ValueError(f"constants not covered by order: {sorted(missing)}")
     towers = {name: unary_tower(i + 1, bullet) for i, name in enumerate(order)}
+    done: dict[Type, Type] = {}  # once per shared node
 
     def enc(t: Type) -> Type:
-        if isinstance(t, Const):
-            return towers.get(t.name, t)
-        if isinstance(t, Arrow):
-            return arrow(enc(t.source), enc(t.target))
-        if isinstance(t, Inter):
-            return inter(enc(c) for c in t.components)
-        return t
+        if t not in done:
+            if isinstance(t, Const):
+                done[t] = towers.get(t.name, t)
+            elif isinstance(t, Arrow):
+                done[t] = arrow(enc(t.source), enc(t.target))
+            elif isinstance(t, Inter):
+                done[t] = inter([enc(c) for c in t.components])
+            else:
+                return t
+        return done[t]
 
     return tuple(Constraint(enc(c.lhs), enc(c.rhs), c.kind) for c in cs)
 

@@ -27,9 +27,7 @@ from .types import (
     arrows,
     const,
     inter,
-    is_atom,
     organize,
-    parse_type,
     path_split,
     print_type,
     type_vars,
@@ -39,39 +37,29 @@ from .constraints import (
     Constraint,
     FreshVars,
     Substitution,
+    _check_no_reserved,
     apply,
     leq,
     unif_to_sat,
     verify,
 )
 
-# ---------------------------------------------------------------------------
-# simple types
-
-
-def is_simple(t: Type) -> bool:
-    """Ground simple type: constants and arrows only."""
-    if isinstance(t, Const):
-        return True
-    if isinstance(t, Arrow):
-        return is_simple(t.source) and is_simple(t.target)
-    return False
-
-
-def simple_depth(t: Type) -> int:
-    if isinstance(t, Arrow):
-        return 1 + max(simple_depth(t.source), simple_depth(t.target))
-    return 1
-
-
 def deep_organize(t: Type) -> Type:
     """Organize at every arrow level, arguments included (stronger than the
-    top-level organize)."""
-    if isinstance(t, Arrow):
-        return organize(arrow(deep_organize(t.source), deep_organize(t.target)))
-    if isinstance(t, Inter):
-        return inter(deep_organize(c) for c in t.components)
-    return t
+    top-level organize), once per shared node."""
+    done: dict[Type, Type] = {}
+
+    def go(u: Type) -> Type:
+        if u not in done:
+            if isinstance(u, Arrow):
+                done[u] = organize(arrow(go(u.source), go(u.target)))
+            elif isinstance(u, Inter):
+                done[u] = inter([go(c) for c in u.components])
+            else:
+                return u
+        return done[u]
+
+    return go(t)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +311,6 @@ class SetConstraintSystem:
     atoms: tuple[Atom, ...]
     omega_vars: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        declared = set(self.variables)
-        for a in self.atoms:
-            for v in a.vars():
-                if v not in declared:
-                    raise ValueError(f"undeclared set variable {v!r}")
-
 
 # ---------------------------------------------------------------------------
 # the transformation
@@ -351,9 +332,13 @@ def rank1_transform(cs: Sequence[Constraint]) -> Iterator[SetConstraintSystem]:
     Nondeterminism: the initial choice of variables replaced by omega
     (smallest sets first), the component choice when the target head is a
     constant, and the subset choice when it is a variable.  Branches that
-    hit an abortive rule are dropped.
+    hit an abortive rule are dropped.  An input variable may not use the
+    prefix of the fresh names the rules draw.
     """
     cs = unif_to_sat(tuple(cs))
+    for c in cs:
+        _check_no_reserved(c.lhs)
+        _check_no_reserved(c.rhs)
     names = sorted(set().union(*[type_vars(c.lhs) | type_vars(c.rhs) for c in cs], set()))
     for k in range(len(names) + 1):
         for v_set in combinations(names, k):
@@ -424,9 +409,9 @@ def _classify(s: Type, t: Type) -> int:
     These are the only statements of the rules' applicability conditions."""
     if subtype(s, t):
         return 1
-    if isinstance(t, Var) and is_simple(s):
+    if isinstance(t, Var) and s._sdepth:
         return 2
-    if isinstance(s, Var) and is_simple(t):
+    if isinstance(s, Var) and t._sdepth:
         return 3
     if isinstance(s, Var) and isinstance(t, Var):
         return 4
@@ -567,7 +552,7 @@ class _Search:
     def key(self, t: Type) -> tuple:
         k = self._keys.get(t)
         if k is None:
-            k = self._keys[t] = (simple_depth(t), print_type(t))
+            k = self._keys[t] = (t._sdepth, print_type(t))
         return k
 
     def pool_add(self, t: Type) -> None:
@@ -585,7 +570,7 @@ class _Search:
         return self._sorted
 
     def ok_add(self, v: str, phi: Type) -> bool:
-        if simple_depth(phi) > self.max_depth:
+        if phi._sdepth > self.max_depth:
             return False
         if v in self.frozen and phi not in self.frozen[v]:
             return False
@@ -678,18 +663,6 @@ def iter_set_solutions(
     yield from _Search(scs, budget, max_nodes, frozen).solutions()
 
 
-def assignment_to_substitution(
-    scs: SetConstraintSystem,
-    assignment: dict[str, frozenset[Type]],
-    original_vars: set[str],
-) -> Substitution:
-    """Sets become intersections (empty set = omega); omega-chosen
-    variables map to omega; fresh bookkeeping variables are dropped."""
-    return Substitution({
-        x: OMEGA if x in scs.omega_vars else inter(assignment.get(x, ())) for x in original_vars
-    })
-
-
 # each branch's search stops after this many nodes; solve_rank1 gives up
 # after this many candidate substitutions fail verification
 _NODE_CAP = 2_000
@@ -712,7 +685,12 @@ def solve_rank1(
     for scs in rank1_transform(cs):
         try:
             for assignment in iter_set_solutions(scs, budget, max_nodes=_NODE_CAP):
-                sub = assignment_to_substitution(scs, assignment, original_vars)
+                # a set becomes its intersection, the empty one omega; the
+                # fresh variables are dropped
+                sub = Substitution({
+                    x: OMEGA if x in scs.omega_vars else inter(assignment.get(x, ()))
+                    for x in original_vars
+                })
                 if verify(sub, cs):
                     return sub
                 tried += 1
@@ -720,21 +698,6 @@ def solve_rank1(
                     return None
         except SearchLimit:
             continue
-    return None
-
-
-def find_arrow_index_set(comps: Sequence[Type], rhs: Arrow) -> tuple[int, ...] | None:
-    """Witness index set: a subset I' of the arrow components with
-    intersection-of-sources -> intersection-of-targets below rhs."""
-    arrows_only = [(i, c) for i, c in enumerate(comps) if isinstance(c, Arrow)]
-    for k in range(1, len(arrows_only) + 1):
-        for picked in combinations(arrows_only, k):
-            merged = arrow(
-                inter([c.source for _, c in picked]),
-                inter([c.target for _, c in picked]),
-            )
-            if subtype(merged, rhs):
-                return tuple(i for i, _ in picked)
     return None
 
 
@@ -748,64 +711,3 @@ def format_set_system(scs: SetConstraintSystem) -> str:
         lines.append(f"omega: {' '.join(scs.omega_vars)}")
     lines += [a.text() for a in scs.atoms]
     return "\n".join(lines) + "\n"
-
-
-def _parse_expr(text: str, declared: set[str]) -> Expr:
-    t = parse_type(text.replace("'", ""))
-
-    def conv(u: Type) -> Expr:
-        if is_atom(u):
-            return V(u.name) if u.name in declared else K(u.name)
-        if isinstance(u, Arrow):
-            args = []
-            while isinstance(u, Arrow):
-                args.append(conv(u.source))
-                u = u.target
-            return Arr(tuple(args), conv(u))
-        raise ValueError(f"bad expression {text!r}")
-
-    return conv(t)
-
-
-def parse_set_system(text: str) -> SetConstraintSystem:
-    variables: list[str] = []
-    omega_vars: list[str] = []
-    atoms: list[Atom] = []
-    declared: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("vars:"):
-            variables = line[5:].split()
-            declared = set(variables)
-            continue
-        if line.startswith("omega:"):
-            omega_vars = line[6:].split()
-            continue
-        if line.startswith("card "):
-            name, _, one = line[5:].partition("=")
-            if one.strip() != "1":
-                raise ValueError(f"line {lineno}: only cardinality 1 is supported")
-            atoms.append(Card1(name.strip()))
-            continue
-        if line.startswith("{"):
-            phi, _, x = line.partition("<=")
-            atoms.append(Mem(parse_type(phi.strip().strip("{}")), x.strip()))
-            continue
-        if "=" in line and "<=" not in line:
-            x, _, body = line.partition("=")
-            x, body = x.strip(), body.strip()
-            if body.startswith("{"):
-                phis = tuple(
-                    parse_type(p) for p in body.strip("{}").split(",") if p.strip()
-                )
-                atoms.append(Eqs(x, phis))
-            elif body.startswith("src(") or body.startswith("tgt("):
-                atoms.append(Proj(body[:3], x, body[4:-1].strip()))
-            else:
-                atoms.append(Union(x, tuple(y.strip() for y in body.split("|"))))
-            continue
-        x, _, body = line.partition("<=")
-        atoms.append(Sub(x.strip(), _parse_expr(body.strip(), declared)))
-    return SetConstraintSystem(tuple(variables), tuple(atoms), tuple(omega_vars))

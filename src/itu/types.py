@@ -17,10 +17,12 @@ from typing import Mapping, Sequence
 class Type:
     # Each constructor sets the slots that the node's children decide, once,
     # when the node is interned: an atom's _skey, _ground (no variable
-    # occurs), _organized (organize returns the node unchanged), and
-    # _collapsed, which holds the node itself when omega_collapse returns it
-    # unchanged and None otherwise.  A None is filled on first use.
-    __slots__ = ("_skey", "_collapsed", "_organized", "_ground")
+    # occurs), _organized (organize returns the node unchanged), _sdepth
+    # (the depth of a simple type, built from constants and arrows alone,
+    # and 0 for any other type), and _collapsed, which holds the node itself
+    # when omega_collapse returns it unchanged and None otherwise.  A None
+    # is filled on first use.
+    __slots__ = ("_skey", "_collapsed", "_organized", "_ground", "_sdepth")
 
     def __str__(self) -> str:
         return print_type(self)
@@ -37,6 +39,7 @@ class Const(Type):
         self._skey = (0, name)
         self._collapsed = self
         self._organized = self._ground = True
+        self._sdepth = 1
 
 
 class Var(Type):
@@ -47,6 +50,7 @@ class Var(Type):
         self._skey = (1, name)
         self._collapsed = self
         self._organized, self._ground = True, False
+        self._sdepth = 0
 
 
 class _Omega(Type):
@@ -66,6 +70,8 @@ class Arrow(Type):
         kept = target._collapsed is target and not isinstance(target, _Omega)
         self._collapsed = self if kept and source._collapsed is source else None
         self._organized = target._organized and not isinstance(target, (_Omega, Inter))
+        ds, dt = source._sdepth, target._sdepth
+        self._sdepth = 1 + max(ds, dt) if ds and dt else 0
 
 
 class Inter(Type):
@@ -77,12 +83,14 @@ class Inter(Type):
         self._ground = all(c._ground for c in components)
         self._collapsed = self if all(c._collapsed is c for c in components) else None
         self._organized = all(c._organized for c in components)
+        self._sdepth = 0
 
 
 OMEGA = _Omega()
 OMEGA._skey = (2,)
 OMEGA._collapsed = OMEGA
 OMEGA._organized = OMEGA._ground = True
+OMEGA._sdepth = 0
 
 _cache: dict[tuple, Type] = {}
 

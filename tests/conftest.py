@@ -44,7 +44,9 @@ def spiral_winner():
     )
 
 
-@pytest.fixture
+# parsed once: the constraints are immutable, and module-scoped fixtures
+# build on them
+@pytest.fixture(scope="session")
 def ex55_constraints():
     from itu import parse_constraints
 

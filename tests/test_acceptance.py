@@ -37,7 +37,6 @@ from itu import (
     extend_ct_prime,
     extract_play,
     extract_valuation,
-    find_arrow_index_set,
     game_values,
     inter,
     leq,

@@ -295,6 +295,14 @@ class TestRank1:
         out = capsys.readouterr().out
         assert out.count(" := a\n") == 1100
 
+    def test_fresh_prefix_is_an_input_error_not_no(self, tmp_path, capsys):
+        # with 'x in place of '_fresh1 this instance solves
+        cs = write(tmp_path / "cs.txt", "'_fresh1 <= '_fresh1 -> a\n")
+        assert run(["rank1", cs]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: variable name '_fresh1' uses the reserved fresh prefix\n"
+
     def test_step_limit_is_an_error_not_no(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(itu.rank1, "_MAX_STEPS", 5)
         cs = write(tmp_path / "cs.txt", "".join(f"'x_{i} <= a\n" for i in range(10)))

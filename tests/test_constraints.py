@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import itu.constraints
 from itu import (
     OMEGA,
     Arrow,
@@ -33,6 +34,7 @@ from itu import (
     print_type,
     sat_to_unif,
     subtype,
+    type_constants,
     type_equal,
     type_vars,
     typability_constraints,
@@ -178,6 +180,25 @@ class TestUnaryEncoding:
         got = encode_constants_unary(cs, const("u"), ("a1", "a2"))
         lhs = got[0].lhs
         assert subtype(lhs, unary_tower(1, const("u")))
+
+    def test_shared_subterms_are_encoded_once(self, monkeypatch):
+        # the doubling DAG t_i = (t_{i-1} -> t_{i-1}) & c_i has one arrow
+        # node per level but 2^depth - 1 arrow occurrences
+        depth = 12
+        t = S("'x")
+        for i in range(depth):
+            t = inter([arrow(t, t), const(f"c{i}")])
+        calls = []
+        make = itu.constraints.arrow
+
+        def counted(source, target):
+            calls.append(source)
+            return make(source, target)
+
+        monkeypatch.setattr(itu.constraints, "arrow", counted)
+        got = encode_constants_unary((leq(t, S("'x")),), const("u"))
+        assert type_constants(got[0].lhs) == {"u"}
+        assert len(calls) <= 2 * depth
 
 
 class TestTypability:

@@ -7,6 +7,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import itu.rank1
 from itu import (
@@ -22,15 +23,12 @@ from itu import (
     components,
     const,
     deep_organize,
-    find_arrow_index_set,
     format_set_system,
     inter,
-    is_simple,
     iter_set_solutions,
     leq,
     organize,
     parse_constraints,
-    parse_set_system,
     parse_type,
     rank1_transform,
     solve_rank1,
@@ -39,22 +37,47 @@ from itu import (
     verify,
 )
 from itu.gen import TypeGen
-from itu.rank1 import _NO_RULE, K, Proj, Sub, _classify, simple_depth
+from itu.rank1 import _NO_RULE, K, Proj, Sub, _classify
+
+from tests.set_systems import find_arrow_index_set, parse_set_system
 
 S = parse_type
 
 
+# the references for the _sdepth slot, written apart from it: a simple type
+# is built from constants and arrows alone
+def _is_simple(t) -> bool:
+    if isinstance(t, Const):
+        return True
+    if isinstance(t, Arrow):
+        return _is_simple(t.source) and _is_simple(t.target)
+    return False
+
+
+def _simple_depth(t) -> int:
+    if isinstance(t, Arrow):
+        return 1 + max(_simple_depth(t.source), _simple_depth(t.target))
+    return 1
+
+
 class TestSimpleTypes:
     def test_is_simple(self):
-        assert is_simple(S("a -> (b -> c) -> a"))
-        assert not is_simple(S("a & b"))
-        assert not is_simple(S("omega -> a"))
-        assert not is_simple(S("'x -> a"))
+        assert S("a -> (b -> c) -> a")._sdepth
+        assert not S("a & b")._sdepth
+        assert not S("omega -> a")._sdepth
+        assert not S("'x -> a")._sdepth
 
     def test_simple_depth(self):
-        assert simple_depth(const("a")) == 1
-        assert simple_depth(S("a -> b")) == 2
-        assert simple_depth(S("(a -> b) -> c")) == 3
+        assert const("a")._sdepth == 1
+        assert S("a -> b")._sdepth == 2
+        assert S("(a -> b) -> c")._sdepth == 3
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_sdepth_slot_matches_its_definition(self, seed, depth):
+        # omega and variables included: every type that is not simple has 0
+        t = TypeGen(seed).type(depth)
+        assert t._sdepth == (_simple_depth(t) if _is_simple(t) else 0)
 
     def test_deep_organize(self):
         t = S("(a -> b & c) -> d")
@@ -64,6 +87,24 @@ class TestSimpleTypes:
         # the argument is organized too, unlike plain organize
         assert d.source is organize(S("a -> b & c"))
         assert deep_organize(S("a & (b -> c & d)")) is not None
+
+    def test_deep_organize_visits_each_shared_node_once(self, monkeypatch):
+        # the doubling DAG t_i = (t_{i-1} -> t_{i-1}) & c_i has one arrow
+        # node per level but 2^depth - 1 arrow occurrences
+        depth = 12
+        t = S("'x")
+        for i in range(depth):
+            t = inter([arrow(t, t), const(f"c{i}")])
+        calls = []
+        org = itu.rank1.organize
+
+        def counted(u):
+            calls.append(u)
+            return org(u)
+
+        monkeypatch.setattr(itu.rank1, "organize", counted)
+        deep_organize(t)
+        assert len(calls) <= 2 * depth
 
 
 class TestTransform:
@@ -86,6 +127,12 @@ class TestTransform:
 
     def test_ground_false_constraint_yields_nothing(self):
         assert list(rank1_transform(parse_constraints("a <= b"))) == []
+
+    def test_rejects_the_fresh_prefix_in_its_input(self):
+        # the rules draw _fresh1, _fresh2, ...; with 'x in place of
+        # '_fresh1 this constraint solves, so a clash would read as "no"
+        with pytest.raises(ValueError, match="reserved fresh prefix"):
+            next(rank1_transform(parse_constraints("'_fresh1 <= '_fresh1 -> a")))
 
     def test_rejects_non_leq_after_desugaring(self):
         # equations are desugared internally, so both kinds are accepted
@@ -137,21 +184,28 @@ def _order_free_branch(scs) -> str:
     return "\n".join(sorted(re.sub(r"_fresh\d+", "_", line) for line in lines))
 
 
-def _order_free_record(cs) -> list[str]:
-    branches = sorted(_order_free_branch(scs) for scs in rank1_transform(cs))
+def _order_free_record(cs, systems) -> list[str]:
+    branches = sorted(_order_free_branch(scs) for scs in systems)
     sol = solve_rank1(cs, budget=(2, 4))
     answer = "verifies" if sol is not None and verify(sol, cs) else "none"
     digest = hashlib.sha256("\n---\n".join(branches).encode()).hexdigest()
     return [str(len(branches)), answer, digest]
 
 
-def test_transform_matches_pinned_output(ex55_constraints):
+@pytest.fixture(scope="module")
+def pinned_transforms(ex55_constraints):
+    """Each pinned input with every branch of its transform, built once for
+    the tests below that read them."""
+    return [(name, cs, list(rank1_transform(cs))) for name, cs in _pinned_inputs(ex55_constraints)]
+
+
+def test_transform_matches_pinned_output(pinned_transforms):
     path = os.path.join(os.path.dirname(__file__), "rank1_pinned.txt")
     with open(path) as fh:
         want = [line.split() for line in fh if not line.startswith("#")]
     got = []
-    for name, cs in _pinned_inputs(ex55_constraints):
-        got.append([name, *_order_free_record(cs)])
+    for name, cs, systems in pinned_transforms:
+        got.append([name, *_order_free_record(cs, systems)])
     assert got == want
 
 
@@ -251,9 +305,9 @@ def test_transform_raises_past_its_step_limit(monkeypatch):
         next(rank1_transform(_one_rule_each(10)))
 
 
-def test_every_pinned_branch_round_trips_through_text(ex55_constraints):
-    for name, cs in _pinned_inputs(ex55_constraints):
-        for scs in rank1_transform(cs):
+def test_every_pinned_branch_round_trips_through_text(pinned_transforms):
+    for name, _, systems in pinned_transforms:
+        for scs in systems:
             again = parse_set_system(format_set_system(scs))
             assert again.atoms == scs.atoms, name
             assert again.omega_vars == scs.omega_vars, name
@@ -274,8 +328,8 @@ def _arrow_to_var(s, t):
 # condition of each rewrite rule on s <= t, in priority order
 RULE_CONDITIONS = (
     (1, lambda s, t: subtype(s, t)),
-    (2, lambda s, t: isinstance(t, Var) and is_simple(s)),
-    (3, lambda s, t: isinstance(s, Var) and is_simple(t)),
+    (2, lambda s, t: isinstance(t, Var) and _is_simple(s)),
+    (3, lambda s, t: isinstance(s, Var) and _is_simple(t)),
     (4, lambda s, t: isinstance(s, Var) and isinstance(t, Var)),
     (5, lambda s, t: s is OMEGA),
     (6, lambda s, t: isinstance(t, Inter)),
@@ -362,7 +416,7 @@ class TestSetSolver:
 
     def test_budget_depth_respected(self):
         for sol in self.solve_all("vars: x\n{a} <= x\nx = src(x)\n", (2, 2)):
-            assert all(simple_depth(e) <= 2 for e in sol["x"])
+            assert all(_simple_depth(e) <= 2 for e in sol["x"])
 
 
 class TestSerialization:
