@@ -159,7 +159,8 @@ Expr = V | K | Arr
 
 @dataclass(frozen=True)
 class Eqs(_Part):
-    """x = {phi1, ..., phik}; the upper bound is enforced when adding."""
+    """x = {phi1, ..., phik}.  It always holds in the search, which starts
+    from the pinned set, never removes from it and adds nothing outside it."""
 
     x: str
     phis: tuple[Type, ...]
@@ -171,9 +172,6 @@ class Eqs(_Part):
         return self.phis
 
     def repair(self, s: _Search):
-        missing = s.frozen[self.x] - s.sets[self.x]
-        if missing:
-            return [[(self.x, phi)] for phi in missing], False
         return None
 
 
